@@ -6,22 +6,20 @@ reverse execution order, accumulating gradients additively, so a value
 consumed by k operations receives the sum of k contributions. With no
 active tape, ops are plain forward evaluation (inference mode).
 
-Only one thread may record on a tape at a time; inference with frozen
-parameters is safe to run concurrently because nothing is recorded.
+The stack of active tapes is held per context (a contextvars.ContextVar),
+so each thread, and each asyncio task, records only onto tapes it opened
+itself: inference on one thread never lands on another thread's tape. A
+single tape must still be recorded by one thread at a time.
 """
 
 from __future__ import annotations
 
-import logging
+import contextvars
 
 import numpy as np
 
-log = logging.getLogger(__name__)
-
-# Denominator guard for cosine similarity / row normalization.
+# Denominator guard for row normalization.
 NORM_EPS = 1e-8
-
-_cosine_guard_logged = False
 
 
 class ShapeError(ValueError):
@@ -78,7 +76,8 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-_TAPES: list["Tape"] = []
+_TAPES: contextvars.ContextVar[tuple["Tape", ...]] = contextvars.ContextVar(
+    "groundsent_tapes", default=())
 
 
 class Tape:
@@ -89,37 +88,44 @@ class Tape:
         self.entries: list[tuple] = []
 
     def __enter__(self) -> "Tape":
-        _TAPES.append(self)
+        _TAPES.set(_TAPES.get() + (self,))
         return self
 
     def __exit__(self, *exc) -> None:
-        _TAPES.pop()
+        _TAPES.set(_TAPES.get()[:-1])
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def backward(self, output: Matrix) -> None:
-        """Seed d(output)/d(output) = 1 and replay the tape in reverse."""
+        """Seed d(output)/d(output) = 1; replay, in reverse, each entry with an output gradient."""
         if output.shape != (1, 1):
             raise ShapeError(f"backward needs a scalar (1x1) output, got {output.shape}")
         output.grad = np.ones((1, 1))
-        for _, _, _, backward in reversed(self.entries):
-            backward()
+        for _, _, outputs, backward in reversed(self.entries):
+            for out in outputs:
+                if out.grad is not None:
+                    backward()
+                    break
 
 
 def record(name: str, inputs: tuple, outputs: tuple, backward) -> None:
     """Record a custom op on the active tape, if any.
 
     Extension hook for composite ops (LSTM cells, fused losses) defined
-    outside this module. `backward` must read the outputs' .grad slots and
-    accumulate into the inputs.
+    outside this module. `backward` reads the outputs' .grad slots and
+    accumulates into the inputs. Tape.backward calls it only when some
+    output has a gradient; an op with several outputs must still handle
+    those whose .grad is None.
     """
-    if _TAPES:
-        _TAPES[-1].entries.append((name, inputs, outputs, backward))
+    tapes = _TAPES.get()
+    if tapes:
+        tapes[-1].entries.append((name, inputs, outputs, backward))
 
 
-def _out_grad(out: Matrix) -> np.ndarray | None:
-    return out.grad
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function of a numpy array, in the tanh form, which cannot overflow."""
+    return 0.5 + 0.5 * np.tanh(0.5 * z)
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +140,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
     def backward():
         g = out.grad
-        if g is None:
-            return
         a.accumulate(g @ b.data.T)
         b.accumulate(a.data.T @ g)
 
@@ -154,8 +158,6 @@ def add(a: Matrix, b: Matrix) -> Matrix:
 
     def backward():
         g = out.grad
-        if g is None:
-            return
         a.accumulate(g)
         b.accumulate(g)
 
@@ -169,8 +171,6 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
 
     def backward():
         g = out.grad
-        if g is None:
-            return
         a.accumulate(g * b.data)
         b.accumulate(g * a.data)
 
@@ -186,8 +186,6 @@ def max2(a: Matrix, b: Matrix) -> Matrix:
 
     def backward():
         g = out.grad
-        if g is None:
-            return
         a.accumulate(np.where(take_a, g, 0.0))
         b.accumulate(np.where(take_a, 0.0, g))
 
@@ -199,10 +197,7 @@ def scale(x: Matrix, s: float) -> Matrix:
     out = Matrix._wrap(x.data * s)
 
     def backward():
-        g = out.grad
-        if g is None:
-            return
-        x.accumulate(g * s)
+        x.accumulate(out.grad * s)
 
     record("scale", (x,), (out,), backward)
     return out
@@ -213,10 +208,7 @@ def tanh(x: Matrix) -> Matrix:
     out = Matrix._wrap(y)
 
     def backward():
-        g = out.grad
-        if g is None:
-            return
-        x.accumulate(g * (1.0 - y * y))
+        x.accumulate(out.grad * (1.0 - y * y))
 
     record("tanh", (x,), (out,), backward)
     return out
@@ -227,29 +219,9 @@ def relu(x: Matrix) -> Matrix:
     mask = x.data > 0.0
 
     def backward():
-        g = out.grad
-        if g is None:
-            return
-        x.accumulate(g * mask)
+        x.accumulate(out.grad * mask)
 
     record("relu", (x,), (out,), backward)
-    return out
-
-
-def sigmoid(x: Matrix) -> Matrix:
-    # Overflow-safe in both tails.
-    z = x.data
-    y = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                 np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
-    out = Matrix._wrap(y)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        x.accumulate(g * y * (1.0 - y))
-
-    record("sigmoid", (x,), (out,), backward)
     return out
 
 
@@ -262,8 +234,6 @@ def softmax_rows(x: Matrix) -> Matrix:
 
     def backward():
         g = out.grad
-        if g is None:
-            return
         x.accumulate(y * (g - (g * y).sum(axis=1, keepdims=True)))
 
     record("softmax_rows", (x,), (out,), backward)
@@ -278,11 +248,8 @@ def reduce_max_rows(x: Matrix) -> Matrix:
     winners = np.argmax(x.data, axis=0)
 
     def backward():
-        g = out.grad
-        if g is None:
-            return
         gx = np.zeros_like(x.data)
-        gx[winners, np.arange(x.cols)] = g[0]
+        gx[winners, np.arange(x.cols)] = out.grad[0]
         x.accumulate(gx)
 
     record("reduce_max_rows", (x,), (out,), backward)
@@ -298,8 +265,6 @@ def concat_rows(a: Matrix, b: Matrix) -> Matrix:
 
     def backward():
         g = out.grad
-        if g is None:
-            return
         a.accumulate(g[:, :p])
         b.accumulate(g[:, p:])
 
@@ -311,10 +276,7 @@ def transpose(x: Matrix) -> Matrix:
     out = Matrix._wrap(np.ascontiguousarray(x.data.T))
 
     def backward():
-        g = out.grad
-        if g is None:
-            return
-        x.accumulate(g.T)
+        x.accumulate(out.grad.T)
 
     record("transpose", (x,), (out,), backward)
     return out
@@ -332,8 +294,6 @@ def stack_rows(rows: list[Matrix]) -> Matrix:
 
     def backward():
         g = out.grad
-        if g is None:
-            return
         for i, r in enumerate(inputs):
             r.accumulate(g[i : i + 1])
 
@@ -347,11 +307,8 @@ def select_rows(m: Matrix, ids) -> Matrix:
     out = Matrix._wrap(m.data[idx].copy())
 
     def backward():
-        g = out.grad
-        if g is None:
-            return
         gm = np.zeros_like(m.data)
-        np.add.at(gm, idx, g)
+        np.add.at(gm, idx, out.grad)
         m.accumulate(gm)
 
     record("select_rows", (m,), (out,), backward)
@@ -366,8 +323,6 @@ def add_rowvec(m: Matrix, v: Matrix) -> Matrix:
 
     def backward():
         g = out.grad
-        if g is None:
-            return
         m.accumulate(g)
         v.accumulate(g.sum(axis=0, keepdims=True))
 
@@ -380,10 +335,7 @@ def sum_all(x: Matrix) -> Matrix:
     out = Matrix._wrap(np.array([[x.data.sum()]]))
 
     def backward():
-        g = out.grad
-        if g is None:
-            return
-        x.accumulate(np.full_like(x.data, g[0, 0]))
+        x.accumulate(np.full_like(x.data, out.grad[0, 0]))
 
     record("sum_all", (x,), (out,), backward)
     return out
@@ -399,8 +351,6 @@ def normalize_rows(x: Matrix) -> Matrix:
 
     def backward():
         g = out.grad
-        if g is None:
-            return
         # Unguarded rows: d/dx (x/|x|) = (g - y (y.g)) / |x|; guarded rows are x/eps.
         gx = (g - y * (g * y).sum(axis=1, keepdims=True)) / denom
         if guarded.any():
@@ -408,44 +358,6 @@ def normalize_rows(x: Matrix) -> Matrix:
         x.accumulate(gx)
 
     record("normalize_rows", (x,), (out,), backward)
-    return out
-
-
-def cosine_sim(u: Matrix, v: Matrix) -> Matrix:
-    """Cosine similarity of two row vectors, as a 1x1 matrix.
-
-    Near-zero norms are epsilon-guarded (eps=1e-8) rather than rejected, so
-    the value stays differentiable during training; the choice is logged once.
-    """
-    global _cosine_guard_logged
-    if u.rows != 1 or v.rows != 1 or u.cols != v.cols:
-        raise ShapeError(f"cosine_sim: expected equal-length row vectors, got {u.shape}, {v.shape}")
-    if not _cosine_guard_logged:
-        log.info("cosine_sim uses an epsilon-guarded denominator (eps=%g)", NORM_EPS)
-        _cosine_guard_logged = True
-    nu = float(np.linalg.norm(u.data))
-    nv = float(np.linalg.norm(v.data))
-    dot = float(u.data[0] @ v.data[0])
-    denom = nu * nv
-    guarded = denom < NORM_EPS
-    if guarded:
-        denom = NORM_EPS
-    s = dot / denom
-    out = Matrix._wrap(np.array([[s]]))
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        c = g[0, 0]
-        if guarded:
-            u.accumulate(c * v.data / denom)
-            v.accumulate(c * u.data / denom)
-        else:
-            u.accumulate(c * (v.data / denom - s * u.data / (nu * nu)))
-            v.accumulate(c * (u.data / denom - s * v.data / (nv * nv)))
-
-    record("cosine_sim", (u, v), (out,), backward)
     return out
 
 

@@ -11,13 +11,17 @@ Layout (little-endian):
 The JSON block holds the train config and its hash, the epoch/step
 counters, and the vocabulary (content tokens in id order), so evaluation
 surfaces can run from a checkpoint alone. Saving is canonical: writing a
-just-loaded checkpoint reproduces the original bytes.
+just-loaded checkpoint reproduces the original bytes. Saving is also
+crash-safe: the bytes go to a temporary file in the same directory, which
+is flushed, fsynced and then renamed over the target, so an interrupted
+save leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -71,14 +75,22 @@ def save(path, params: ModelParameters, adam: AdamState, config: TrainConfig,
         tensors[f"adam_v/{k}"] = arr
 
     blob = _canonical_json(meta)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name in sorted(tensors):
-            _write_tensor(fh, name, tensors[name])
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            fh.write(struct.pack("<I", len(tensors)))
+            for name in sorted(tensors):
+                _write_tensor(fh, name, tensors[name])
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load(path) -> tuple[ModelParameters, AdamState, TrainConfig, Vocabulary, int]:

@@ -268,9 +268,6 @@ class Batch:
     def size(self) -> int:
         return len(self.ids)
 
-    def negatives(self, k: int) -> list[int]:
-        return [j for j in range(self.size) if j != k]
-
     def src_ids(self, k: int) -> np.ndarray:
         return self.src[k, self.src_mask[k]]
 

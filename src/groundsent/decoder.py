@@ -51,13 +51,10 @@ def cross_entropy_rows(logits: Matrix, targets: np.ndarray, keep: np.ndarray) ->
     out = Matrix._wrap(np.array([[-picked[keep].sum()]]))
 
     def backward():
-        g = out.grad
-        if g is None:
-            return
         soft = np.exp(logp)
         soft[rows, targets] -= 1.0
         soft[~keep] = 0.0
-        logits.accumulate(g[0, 0] * soft)
+        logits.accumulate(out.grad[0, 0] * soft)
 
     ad.record("cross_entropy_rows", (logits,), (out,), backward)
     return out

@@ -16,9 +16,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Matrix, ShapeError
 
-# Gate column order inside the fused (.., 4*d_cell) cell weights.
-GATE_INPUT, GATE_FORGET, GATE_CELL, GATE_OUTPUT = 0, 1, 2, 3
-
 
 @dataclass
 class LstmCellParams:
@@ -39,13 +36,6 @@ class EncoderParams:
     backward_cell: LstmCellParams
     attn_proj: Matrix   # (d_a, d_cell)
     attn_heads: Matrix  # (n_a, d_a)
-
-
-@dataclass
-class EncoderStates:
-    states: Matrix          # (d_cell, T), column t = max(fwd_t, bwd_t)
-    final_forward: Matrix   # (1, d_cell)
-    final_backward: Matrix  # (1, d_cell)
 
 
 @dataclass
@@ -74,10 +64,9 @@ def lstm_step(cell: LstmCellParams, x: Matrix, h_prev: Matrix, c_prev: Matrix):
             f"vs input_w {cell.input_w.shape}, recur_w {cell.recur_w.shape}"
         )
     pre = x.data @ cell.input_w.data + h_prev.data @ cell.recur_w.data + cell.bias.data
-    i = 1.0 / (1.0 + np.exp(-pre[:, :d]))
-    f = 1.0 / (1.0 + np.exp(-pre[:, d : 2 * d]))
+    gates = ad.sigmoid(pre)
+    i, f, o = gates[:, :d], gates[:, d : 2 * d], gates[:, 3 * d :]
     g = np.tanh(pre[:, 2 * d : 3 * d])
-    o = 1.0 / (1.0 + np.exp(-pre[:, 3 * d :]))
     c_new = f * c_prev.data + i * g
     tc = np.tanh(c_new)
     h_new = o * tc
@@ -88,8 +77,6 @@ def lstm_step(cell: LstmCellParams, x: Matrix, h_prev: Matrix, c_prev: Matrix):
     def backward():
         dh = h_out.grad
         dc = c_out.grad
-        if dh is None and dc is None:
-            return
         if dh is None:
             dh = np.zeros_like(h_new)
         dc_total = dh * o * (1.0 - tc * tc)
@@ -124,10 +111,11 @@ def _run_direction(cell: LstmCellParams, xs: list[Matrix], reverse: bool) -> lis
     return states
 
 
-def encode(params: EncoderParams, embeddings: Matrix, token_ids) -> tuple[EncoderStates, Matrix]:
+def encode(params: EncoderParams, embeddings: Matrix, token_ids) -> tuple[Matrix, Matrix]:
     """Run both directions over the embedded tokens.
 
-    Returns the fused state matrix plus the recurrent summary
+    Returns the fused (d_cell, T) state matrix, whose column t is
+    max(fwd_t, bwd_t), plus the recurrent summary
     h_s = max(final forward state, final backward state). Only real tokens
     are passed in, so no state column ever corresponds to padding.
     """
@@ -140,7 +128,7 @@ def encode(params: EncoderParams, embeddings: Matrix, token_ids) -> tuple[Encode
     fused = [ad.max2(f, b) for f, b in zip(fwd, bwd)]
     states = ad.transpose(ad.stack_rows(fused))
     h_s = ad.max2(fwd[-1], bwd[0])
-    return EncoderStates(states=states, final_forward=fwd[-1], final_backward=bwd[0]), h_s
+    return states, h_s
 
 
 def attend(attn_proj: Matrix, attn_heads: Matrix, states: Matrix) -> AttentionOutput:
@@ -161,5 +149,5 @@ def compose(attn: AttentionOutput, h_s: Matrix) -> SentenceRepresentation:
 def encode_sentence(params: EncoderParams, embeddings: Matrix, token_ids):
     """Full pipeline: encode -> attend -> compose. Returns (representation, attention)."""
     states, h_s = encode(params, embeddings, token_ids)
-    attn = attend(params.attn_proj, params.attn_heads, states.states)
+    attn = attend(params.attn_proj, params.attn_heads, states)
     return compose(attn, h_s), attn

@@ -14,7 +14,7 @@ from .autodiff import Matrix
 from .data import UNK, CaptionRecord, Sample, Vocabulary, tokenize
 from .decoder import caption_nll
 from .encoder import encode_sentence
-from .grounding import project
+from .grounding import cosine_matrix, project
 from .training import ModelParameters
 
 
@@ -60,12 +60,6 @@ def encode_reps(params: ModelParameters, samples: list[Sample]) -> np.ndarray:
     ])
 
 
-def _cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    an = a / np.maximum(np.linalg.norm(a, axis=1, keepdims=True), 1e-8)
-    bn = b / np.maximum(np.linalg.norm(b, axis=1, keepdims=True), 1e-8)
-    return an @ bn.T
-
-
 def rank_of(scores: np.ndarray, true_idx: int) -> int:
     """1-based rank of the true candidate; ties break by corpus order."""
     s = scores[true_idx]
@@ -87,13 +81,17 @@ def _report(direction: str, ranks: np.ndarray) -> RetrievalReport:
 
 def retrieval_eval(params: ModelParameters,
                    samples: list[Sample]) -> tuple[RetrievalReport, RetrievalReport]:
-    """Rank every image for every sentence (and vice versa) by cosine similarity."""
+    """Rank every image for every sentence (and vice versa) by cosine similarity.
+
+    The pool is ranked in sample-id order, so ties break by id and the
+    reports depend on the pool as a set, not on the order it is given in.
+    """
     if len(samples) < 2:
         raise ValueError("retrieval needs a pool of at least 2 samples")
-    reps = encode_reps(params, samples)
-    predicted = project(params.projection, Matrix(reps)).data
-    images = np.vstack([s.img for s in samples])
-    sims = _cosine_matrix(predicted, images)  # [k, j] = sim(pred_k, img_j)
+    samples = sorted(samples, key=lambda s: s.id)
+    predicted = project(params.projection, Matrix(encode_reps(params, samples)))
+    images = Matrix(np.vstack([s.img for s in samples]))
+    sims = cosine_matrix(predicted, images).data  # [k, j] = sim(pred_k, img_j)
     s2i = np.array([rank_of(sims[k], k) for k in range(len(samples))])
     i2s = np.array([rank_of(sims[:, j], j) for j in range(len(samples))])
     return _report("sentence_to_image", s2i), _report("image_to_sentence", i2s)

@@ -103,11 +103,6 @@ def _primitive_checks() -> list[tuple[str, callable]]:
         w = _readout(rng, (1, 5))
         return lambda t: ad.sum_all(ad.mul(w, ad.concat_rows(t, b))), a
 
-    def cosine(rng):
-        u = Matrix(rng.standard_normal((1, 5)))
-        v = Matrix(rng.standard_normal((1, 5)))
-        return lambda t: ad.cosine_sim(t, v), u
-
     def transpose(rng):
         x = Matrix(rng.standard_normal((2, 4)))
         w = _readout(rng, (4, 2))
@@ -144,7 +139,6 @@ def _primitive_checks() -> list[tuple[str, callable]]:
         ("matmul/b", matmul_b),
         ("tanh", unary(ad.tanh)),
         ("relu", unary(ad.relu, keep_off_kink=True)),
-        ("sigmoid", unary(ad.sigmoid)),
         ("add", binary(ad.add)),
         ("mul", binary(ad.mul)),
         ("max2", binary(ad.max2)),
@@ -152,7 +146,6 @@ def _primitive_checks() -> list[tuple[str, callable]]:
         ("softmax_rows", softmax),
         ("reduce_max_rows", reduce_max),
         ("concat_rows", concat),
-        ("cosine_sim", cosine),
         ("transpose", transpose),
         ("stack_rows", stack),
         ("select_rows", select),

@@ -32,10 +32,6 @@ class ProjectionParams:
         if len(self.weights) != 4 or len(self.biases) != 4:
             raise ValueError("projection head must have exactly 4 layers")
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].cols
-
 
 def project(params: ProjectionParams, reps: Matrix, train_mode: bool = False,
             rng: np.random.Generator | None = None) -> Matrix:
@@ -56,6 +52,15 @@ def project(params: ProjectionParams, reps: Matrix, train_mode: bool = False,
                 mask = Matrix._wrap(keep / (1.0 - params.dropout_p))
                 out = ad.mul(out, mask)
     return out
+
+
+def cosine_matrix(a: Matrix, b: Matrix) -> Matrix:
+    """(n, m) cosine similarities, [k, j] = cos(a_k, b_j).
+
+    Row norms are epsilon-guarded (autodiff.NORM_EPS), so a zero row scores
+    exactly 0 against every row and its gradient stays finite.
+    """
+    return ad.matmul(ad.normalize_rows(a), ad.transpose(ad.normalize_rows(b)))
 
 
 def _log_exp_sum_rank(sims: Matrix) -> Matrix:
@@ -80,10 +85,7 @@ def _log_exp_sum_rank(sims: Matrix) -> Matrix:
     out = Matrix._wrap(np.array([[np.log1p(total)]]))
 
     def backward():
-        g = out.grad
-        if g is None:
-            return
-        coef = g[0, 0] / (1.0 + total)
+        coef = out.grad[0, 0] / (1.0 + total)
         m1 = e1 * live1
         m2 = e2 * live2
         gs = m1 + m2
@@ -107,8 +109,7 @@ def ranking_loss(predicted: Matrix, targets: Matrix) -> Matrix:
         )
     if predicted.rows < 2:
         raise ValueError("ranking_loss needs a batch of >= 2 pairs for negatives")
-    sims = ad.matmul(ad.normalize_rows(predicted), ad.transpose(ad.normalize_rows(targets)))
-    return _log_exp_sum_rank(sims)
+    return _log_exp_sum_rank(cosine_matrix(predicted, targets))
 
 
 def grounding_loss(sentence_reps: Matrix, image_targets: np.ndarray, params: ProjectionParams,

@@ -235,15 +235,6 @@ def test_epoch_shuffles_differ_but_reproduce():
     assert e0 != e1
 
 
-def test_negative_sets_exclude_self():
-    samples = batch_fixture(6)
-    for batch in make_batches(samples, 3, seed=0):
-        for k in range(batch.size):
-            negs = batch.negatives(k)
-            assert k not in negs
-            assert len(negs) == batch.size - 1
-
-
 def test_batch_rejects_duplicate_ids():
     samples = batch_fixture(4)
     dup = [samples[0], samples[0]]

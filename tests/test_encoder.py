@@ -1,5 +1,7 @@
 """Encoder, LSTM cell, and self-attention tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,29 @@ def test_lstm_step_saturated_forget_gate_carries_cell():
     np.testing.assert_allclose(c.data, c_prev.data, atol=1e-9)
 
 
+def test_lstm_step_extreme_preactivations_stay_finite_without_warnings():
+    # pre-activations of +-1000 saturate every gate; the logistic must not overflow
+    d = 2
+    cell = LstmCellParams(
+        input_w=Matrix(np.full((1, 4 * d), 1000.0)),
+        recur_w=Matrix(np.zeros((d, 4 * d))),
+        bias=Matrix(np.zeros((1, 4 * d))),
+    )
+    x = Matrix([[1.0], [-1.0]])  # lane 0 at +1000, lane 1 at -1000
+    h0 = Matrix(np.zeros((2, d)))
+    c0 = Matrix(np.full((2, d), 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with Tape() as tape:
+            h, c = lstm_step(cell, x, h0, c0)
+            tape.backward(ad.sum_all(ad.add(h, c)))
+    # lane 0: all gates open and g = 1, so c = 0.5 + 1; lane 1: all gates shut
+    np.testing.assert_array_equal(c.data, [[1.5, 1.5], [0.0, 0.0]])
+    np.testing.assert_allclose(h.data, [[np.tanh(1.5)] * d, [0.0, 0.0]], atol=0, rtol=1e-15)
+    for m in (x, h0, c0, cell.input_w, cell.recur_w, cell.bias):
+        assert np.all(np.isfinite(m.grad))
+
+
 def test_lstm_step_three_step_chain_matches_finite_differences():
     rng = np.random.default_rng(2)
     d_in, d = 3, 4
@@ -107,8 +132,8 @@ def test_encode_single_token_column_equals_summary():
     emb = Matrix(rng.standard_normal((6, 3)))
     params = make_encoder(3, 4, 2, 2, rng)
     states, h_s = encode(params, emb, [5])
-    assert states.states.shape == (4, 1)
-    np.testing.assert_allclose(states.states.data[:, 0], h_s.data[0])
+    assert states.shape == (4, 1)
+    np.testing.assert_allclose(states.data[:, 0], h_s.data[0])
 
 
 def test_encode_rejects_empty_sequence():
@@ -129,7 +154,7 @@ def test_encode_zero_weights_zero_states():
         attn_heads=Matrix(np.zeros((2, 2))),
     )
     states, h_s = encode(params, emb, [1, 2, 3])
-    np.testing.assert_array_equal(states.states.data, np.zeros((4, 3)))
+    np.testing.assert_array_equal(states.data, np.zeros((4, 3)))
     np.testing.assert_array_equal(h_s.data, np.zeros((1, 4)))
 
 
@@ -140,7 +165,7 @@ def test_encode_palindrome_with_tied_weights_is_column_symmetric():
     emb = Matrix(rng.standard_normal((6, 3)))
     params = make_encoder(3, 4, 2, 2, rng, tied=True)
     states, _ = encode(params, emb, [2, 5, 2])
-    H = states.states.data
+    H = states.data
     np.testing.assert_allclose(H[:, 0], H[:, 2], atol=1e-12)
 
 
@@ -149,8 +174,8 @@ def test_encode_reversal_with_tied_weights_reverses_columns():
     emb = Matrix(rng.standard_normal((8, 3)))
     params = make_encoder(3, 4, 2, 2, rng, tied=True)
     seq = [1, 4, 7, 2]
-    H_fwd = encode(params, emb, seq)[0].states.data
-    H_rev = encode(params, emb, seq[::-1])[0].states.data
+    H_fwd = encode(params, emb, seq)[0].data
+    H_rev = encode(params, emb, seq[::-1])[0].data
     np.testing.assert_allclose(H_fwd, H_rev[:, ::-1], atol=1e-12)
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from groundsent import autodiff as ad
-from groundsent.autodiff import Matrix, grad_check
+from groundsent.autodiff import Matrix, Tape, grad_check
 from groundsent.grounding import (
-    ProjectionParams, _log_exp_sum_rank, grounding_loss, project, ranking_loss,
+    ProjectionParams, _log_exp_sum_rank, cosine_matrix, grounding_loss, project, ranking_loss,
 )
 
 
@@ -91,6 +91,24 @@ def test_project_gradient_check_eval_mode():
 
     for theta in (proj.weights[0], proj.weights[3], proj.biases[1], reps):
         assert grad_check(run, theta) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# cosine similarity
+
+
+def test_cosine_matrix_self_orthogonal_and_zero_rows():
+    a = Matrix([[0.3, -1.2, 2.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    b = Matrix([[0.3, -1.2, 2.0], [0.0, 1.0, 0.0]])
+    with Tape() as tape:
+        sims = cosine_matrix(a, b)
+        tape.backward(ad.sum_all(sims))
+    assert sims.shape == (3, 2)
+    assert sims.data[0, 0] == pytest.approx(1.0)
+    assert sims.data[1, 1] == 0.0
+    # a zero row is epsilon-guarded: exactly 0 against everything, finite gradient
+    np.testing.assert_array_equal(sims.data[2], [0.0, 0.0])
+    assert np.all(np.isfinite(a.grad)) and np.all(np.isfinite(b.grad))
 
 
 # ---------------------------------------------------------------------------

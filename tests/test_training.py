@@ -1,5 +1,8 @@
 """Initialization, optimizer, composite objective, and training-loop tests."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -228,6 +231,34 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     second_path = tmp_path / "again.bin"
     ckpt.save(second_path, params, adam, cfg, vocab, epoch)
     assert open(second_path, "rb").read() == first
+
+
+def test_checkpoint_save_interrupted_midway_keeps_previous_file(tmp_path, monkeypatch):
+    config = TrainConfig(objective="cap2all", **{**TINY, "epochs": 1})
+    corpus = gen_synthetic(6, 8, config.d_img, seed=4)
+    result = train(config, corpus, out_dir=tmp_path / "run")
+    path = Path(result.checkpoint_path)
+    before = path.read_bytes()
+    listing = sorted(os.listdir(path.parent))
+    params, adam, cfg, vocab, epoch = ckpt.load(path)
+
+    write_tensor = ckpt._write_tensor
+    written = []
+
+    def fail_after_first_tensor(fh, name, arr):
+        if written:
+            raise OSError("disk full")
+        written.append(name)
+        write_tensor(fh, name, arr)
+
+    monkeypatch.setattr(ckpt, "_write_tensor", fail_after_first_tensor)
+    with pytest.raises(OSError, match="disk full"):
+        ckpt.save(path, params, adam, cfg, vocab, epoch + 1)
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    assert ckpt.load(path)[4] == epoch
+    assert sorted(os.listdir(path.parent)) == listing
 
 
 def test_checkpoint_roundtrip_preserves_tensors(tmp_path):
