@@ -68,9 +68,11 @@ class Matrix:
         return float(self.data[0, 0])
 
     def accumulate(self, g: np.ndarray) -> None:
+        """Add g, shaped like data, to the gradient; the first call stores a copy of g."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
@@ -225,41 +227,30 @@ def relu(x: Matrix) -> Matrix:
     return out
 
 
-def softmax_rows(x: Matrix) -> Matrix:
-    """Row-wise softmax with per-row max subtraction for stability."""
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-    out = Matrix._wrap(y)
+def reduce_max_rows(x: Matrix, blocks: int = 1) -> Matrix:
+    """Column-wise maximum over each of `blocks` equal runs of consecutive rows, (blocks, cols).
+
+    The gradient of each output entry flows to the first argmax row of its run.
+    """
+    if x.rows < 1 or x.cols < 1 or blocks < 1 or x.rows % blocks:
+        raise ShapeError(f"reduce_max_rows: cannot split {x.shape} into {blocks} runs of rows")
+    runs = x.data.reshape(blocks, -1, x.cols)
+    out = Matrix._wrap(runs.max(axis=1))
+    winners = runs.argmax(axis=1)
 
     def backward():
-        g = out.grad
-        x.accumulate(y * (g - (g * y).sum(axis=1, keepdims=True)))
-
-    record("softmax_rows", (x,), (out,), backward)
-    return out
-
-
-def reduce_max_rows(x: Matrix) -> Matrix:
-    """Column-wise maximum over rows; gradient flows to the first argmax row."""
-    if x.rows < 1 or x.cols < 1:
-        raise ShapeError(f"reduce_max_rows: empty input {x.shape}")
-    out = Matrix._wrap(x.data.max(axis=0, keepdims=True))
-    winners = np.argmax(x.data, axis=0)
-
-    def backward():
-        gx = np.zeros_like(x.data)
-        gx[winners, np.arange(x.cols)] = out.grad[0]
-        x.accumulate(gx)
+        gx = np.zeros_like(runs)
+        np.put_along_axis(gx, winners[:, None, :], out.grad[:, None, :], axis=1)
+        x.accumulate(gx.reshape(x.shape))
 
     record("reduce_max_rows", (x,), (out,), backward)
     return out
 
 
 def concat_rows(a: Matrix, b: Matrix) -> Matrix:
-    """Juxtapose two row vectors: (1,p) ++ (1,q) -> (1,p+q)."""
-    if a.rows != 1 or b.rows != 1:
-        raise ShapeError(f"concat_rows: both operands must be row vectors, got {a.shape}, {b.shape}")
+    """Join each row of a with the same row of b: (n,p) ++ (n,q) -> (n,p+q)."""
+    if a.rows != b.rows:
+        raise ShapeError(f"concat_rows: row counts differ, {a.shape} vs {b.shape}")
     p = a.cols
     out = Matrix._wrap(np.hstack([a.data, b.data]))
 
@@ -282,22 +273,37 @@ def transpose(x: Matrix) -> Matrix:
     return out
 
 
-def stack_rows(rows: list[Matrix]) -> Matrix:
-    """Stack row vectors into an (n, d) matrix; backward splits by row."""
-    if not rows:
+def stack_rows(parts: list[Matrix]) -> Matrix:
+    """Stack matrices of equal width on top of each other; backward splits by rows."""
+    if not parts:
         raise ShapeError("stack_rows: no rows given")
-    for r in rows:
-        if r.rows != 1:
-            raise ShapeError(f"stack_rows: expected row vectors, got {r.shape}")
-    out = Matrix._wrap(np.vstack([r.data for r in rows]))
-    inputs = tuple(rows)
+    for m in parts:
+        if m.cols != parts[0].cols:
+            raise ShapeError(f"stack_rows: widths differ, {m.shape} vs {parts[0].shape}")
+    out = Matrix._wrap(np.concatenate([m.data for m in parts]))
+    inputs = tuple(parts)
 
     def backward():
         g = out.grad
-        for i, r in enumerate(inputs):
-            r.accumulate(g[i : i + 1])
+        start = 0
+        for m in inputs:
+            m.accumulate(g[start : start + m.rows])
+            start += m.rows
 
     record("stack_rows", inputs, (out,), backward)
+    return out
+
+
+def slice_rows(m: Matrix, start: int, stop: int) -> Matrix:
+    """Rows start:stop of m; backward adds into that slice of m's gradient only."""
+    out = Matrix._wrap(m.data[start:stop])
+
+    def backward():
+        if m.grad is None:
+            m.grad = np.zeros_like(m.data)
+        m.grad[start:stop] += out.grad
+
+    record("slice_rows", (m,), (out,), backward)
     return out
 
 

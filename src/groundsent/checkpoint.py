@@ -50,11 +50,19 @@ def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _read_tensor(fh) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<H", fh.read(2))
-    name = fh.read(name_len).decode("utf-8")
-    rows, cols = struct.unpack("<II", fh.read(8))
-    data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8").reshape(rows, cols)
+def _read_exact(fh, n: int, size: int) -> bytes:
+    """n bytes from fh, or EOFError; n beyond the file's size is refused before reading."""
+    data = fh.read(n) if n <= size else b""
+    if len(data) != n:
+        raise EOFError
+    return data
+
+
+def _read_tensor(fh, size: int) -> tuple[str, np.ndarray]:
+    (name_len,) = struct.unpack("<H", _read_exact(fh, 2, size))
+    name = _read_exact(fh, name_len, size).decode("utf-8")
+    rows, cols = struct.unpack("<II", _read_exact(fh, 8, size))
+    data = np.frombuffer(_read_exact(fh, rows * cols * 8, size), dtype="<f8").reshape(rows, cols)
     return name, data.copy()
 
 
@@ -94,16 +102,23 @@ def save(path, params: ModelParameters, adam: AdamState, config: TrainConfig,
 
 
 def load(path) -> tuple[ModelParameters, AdamState, TrainConfig, Vocabulary, int]:
+    """Read a checkpoint; a file cut short or with bytes past its last tensor raises ValueError."""
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (meta_len,) = struct.unpack("<Q", fh.read(8))
-        meta = json.loads(fh.read(meta_len))
-        (count,) = struct.unpack("<I", fh.read(4))
-        tensors = dict(_read_tensor(fh) for _ in range(count))
+        size = os.fstat(fh.fileno()).st_size
+        try:
+            (version,) = struct.unpack("<I", _read_exact(fh, 4, size))
+            if version != VERSION:
+                raise ValueError(f"{path}: unsupported checkpoint version {version}")
+            (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8, size))
+            meta = json.loads(_read_exact(fh, meta_len, size))
+            (count,) = struct.unpack("<I", _read_exact(fh, 4, size))
+            tensors = dict(_read_tensor(fh, size) for _ in range(count))
+            if fh.read(1):
+                raise EOFError
+        except (EOFError, UnicodeDecodeError, json.JSONDecodeError):
+            raise ValueError(f"{path}: truncated or corrupt checkpoint") from None
 
     config = TrainConfig(**meta["config"])
     if meta.get("config_hash") != config_hash(config):

@@ -9,6 +9,7 @@ raw caption text and img as a list of reals. Synthetic corpora add a
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -142,28 +143,37 @@ class Corpus:
 
     @classmethod
     def load(cls, path) -> "Corpus":
+        """Read a corpus file; a malformed line raises ValueError naming its line number."""
+        records = []
+        lineno = 1
         with open(path, "r", encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            d_img = int(header["d_img"])
-            records = []
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                img = np.asarray(obj["img"], dtype=np.float64)
-                if img.shape != (d_img,):
-                    raise ValueError(
-                        f"corpus line {lineno}: image width {img.shape} does not match d_img={d_img}"
+            try:
+                d_img = json.loads(fh.readline())["d_img"]
+                if not isinstance(d_img, int) or d_img < 1:
+                    raise ValueError("corpus line 1: d_img must be a positive integer")
+                for lineno, line in enumerate(fh, start=2):
+                    if not line.strip():
+                        continue
+                    obj = json.loads(line)
+                    img = np.asarray(obj["img"], dtype=np.float64)
+                    if img.shape != (d_img,):
+                        raise ValueError(f"corpus line {lineno}: image width {img.shape} "
+                                         f"does not match d_img={d_img}")
+                    norm = float(np.linalg.norm(img))
+                    if not norm < math.inf:
+                        raise ValueError(f"corpus line {lineno}: non-finite image vector")
+                    if not norm > 0:
+                        raise ValueError(f"corpus line {lineno}: zero-norm image vector")
+                    records.append(
+                        CaptionRecord(
+                            id=str(obj["id"]), src=obj["src"], tgt=obj["tgt"],
+                            img=img, salient=obj.get("salient"),
+                        )
                     )
-                if not np.linalg.norm(img) > 0:
-                    raise ValueError(f"corpus line {lineno}: zero-norm image vector")
-                records.append(
-                    CaptionRecord(
-                        id=str(obj["id"]), src=obj["src"], tgt=obj["tgt"],
-                        img=img, salient=obj.get("salient"),
-                    )
-                )
+            except KeyError as exc:
+                raise ValueError(f"corpus line {lineno}: missing field {exc}") from None
+            except (json.JSONDecodeError, TypeError) as exc:
+                raise ValueError(f"corpus line {lineno}: malformed record ({exc})") from None
         return cls(d_img=d_img, records=records)
 
 
@@ -275,7 +285,8 @@ class Batch:
         return self.tgt[k, self.tgt_mask[k]]
 
 
-def _pad(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def pad_sequences(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(B, T) ids right-padded with PAD, and the (B, T) mask of real tokens."""
     width = max(len(s) for s in seqs)
     ids = np.full((len(seqs), width), PAD, dtype=np.int64)
     mask = np.zeros((len(seqs), width), dtype=bool)
@@ -299,8 +310,8 @@ def make_batches(samples: list[Sample], batch_size: int, seed: int, epoch: int =
         chunk = [samples[i] for i in order[start : start + batch_size]]
         if len(chunk) < 2:
             break
-        src, src_mask = _pad([s.src for s in chunk])
-        tgt, tgt_mask = _pad([s.tgt for s in chunk])
+        src, src_mask = pad_sequences([s.src for s in chunk])
+        tgt, tgt_mask = pad_sequences([s.tgt for s in chunk])
         batches.append(
             Batch(
                 ids=[s.id for s in chunk],

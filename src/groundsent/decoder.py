@@ -1,7 +1,13 @@
-"""Conditional LSTM language model over the target caption.
+"""Conditional LSTM language model over the target captions, run over B lanes at once.
 
 The sentence representation enters only through the initial-state
 projections; each step is then teacher-forced on the previous gold token.
+Lane layout as in the encoder: the (B, L) targets, right-padded with PAD,
+are read time-major, so row t*B + b of the step inputs, states and logits
+is step t of lane b. All input rows are projected by one matmul before
+the recurrence, and all states reach the vocabulary through one logits
+matmul. Steps whose target is PAD are masked out of the loss, so padding
+adds nothing to it and gets no gradient.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Matrix, ShapeError
 from .data import BOS, EOS, PAD
-from .encoder import LstmCellParams, lstm_step
+from .encoder import LstmCellParams, lstm_step, project_inputs, run_lanes
 
 
 @dataclass
@@ -26,7 +32,7 @@ class DecoderParams:
 
 
 def init_state(params: DecoderParams, sentence_rep: Matrix) -> tuple[Matrix, Matrix]:
-    """h_0 = tanh(P_h . rep), c_0 = tanh(P_c . rep), as row vectors."""
+    """h_0 = tanh(P_h . rep), c_0 = tanh(P_c . rep), one row per lane."""
     if sentence_rep.cols != params.init_h_proj.cols:
         raise ShapeError(
             f"init_state: rep {sentence_rep.shape} vs projection {params.init_h_proj.shape}"
@@ -60,26 +66,25 @@ def cross_entropy_rows(logits: Matrix, targets: np.ndarray, keep: np.ndarray) ->
     return out
 
 
-def caption_nll(params: DecoderParams, embeddings: Matrix, sentence_rep: Matrix,
+def caption_nll(params: DecoderParams, embeddings: Matrix, sentence_reps: Matrix,
                 tgt_ids, pad_id: int = PAD) -> Matrix:
-    """Teacher-forced negative log-likelihood of the target sequence (summed over steps).
+    """Teacher-forced negative log-likelihood of the targets, summed over steps and lanes.
 
-    tgt_ids must be BOS...EOS wrapped; step t consumes tgt[t-1] and predicts
-    tgt[t]. Steps whose target is PAD are masked out, so trailing padding
-    never changes the loss.
+    tgt_ids is one BOS...EOS sequence or a (B, L) batch of them right-padded
+    with pad_id, one lane per row of sentence_reps; step t consumes tgt[t-1]
+    and predicts tgt[t]. Steps whose target is PAD are masked out, so
+    trailing padding never changes the loss.
     """
-    tgt = np.asarray(tgt_ids, dtype=np.int64)
-    if tgt.size < 2:
-        raise ValueError(f"caption_nll: target must have >= 2 tokens, got {tgt.size}")
-    h, c = init_state(params, sentence_rep)
-    hs = []
-    for t in range(tgt.size - 1):
-        x = ad.select_rows(embeddings, [int(tgt[t])])
-        h, c = lstm_step(params.cell, x, h, c)
-        hs.append(h)
-    states = ad.stack_rows(hs)  # (L-1, d_cell)
+    tgt = np.atleast_2d(np.asarray(tgt_ids, dtype=np.int64))
+    if tgt.shape[1] < 2:
+        raise ValueError(f"caption_nll: target must have >= 2 tokens, got {tgt.shape[1]}")
+    if tgt.shape[0] != sentence_reps.rows:
+        raise ShapeError(f"caption_nll: {tgt.shape[0]} targets for {sentence_reps.rows} reps")
+    h, c = init_state(params, sentence_reps)
+    xs = ad.select_rows(embeddings, tgt[:, :-1].T.reshape(-1))
+    states = run_lanes(params.cell, project_inputs(params.cell, xs), h, c)
     logits = ad.add_rowvec(ad.matmul(states, ad.transpose(params.out_w)), params.out_b)
-    targets = tgt[1:]
+    targets = tgt[:, 1:].T.reshape(-1)
     return cross_entropy_rows(logits, targets, targets != pad_id)
 
 
@@ -93,7 +98,7 @@ def greedy_decode(params: DecoderParams, embeddings: Matrix, sentence_rep: Matri
     out: list[int] = []
     for _ in range(max_len):
         x = ad.select_rows(embeddings, [token])
-        h, c = lstm_step(params.cell, x, h, c)
+        h, c = lstm_step(params.cell, project_inputs(params.cell, x), h, c)
         logits = h.data @ params.out_w.data.T + params.out_b.data
         token = int(np.argmax(logits[0]))
         out.append(token)

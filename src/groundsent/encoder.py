@@ -1,10 +1,19 @@
-"""Bidirectional LSTM encoder with multi-head self-attention.
+"""Bidirectional LSTM encoder with multi-head self-attention, run over B lanes at once.
 
-Per-timestep states from the two directions are fused elementwise with max,
-giving a (d_cell, T) state matrix. Attention scores each timestep from the
-state matrix itself, yielding n_a head distributions whose context vectors
-are max-pooled into the attended summary. The final sentence vector is
-concat(attended, recurrent).
+Lane layout: a batch is a (B, T) id matrix, one sentence per row, padded
+on the right with PAD. Per-step values are (T*B, width) matrices in
+time-major order, row t*B + b holding step t of lane b, so one
+`lstm_step` advances the row block of step t. Each direction projects all
+its input rows with one matmul, then runs T steps over (B, d_cell) states.
+The backward direction reads each lane's real tokens reversed through the
+reversed-index map, row t*B + b <- row (len_b-1-t)*B + b on real steps and
+itself on padding; the map is its own inverse, so the same gather restores
+sentence order before the two directions are fused by an elementwise max.
+Each lane thus starts both directions from zero state at its own ends.
+Attention runs over each lane's real steps only (the mask is ids != PAD),
+so padded states get weight exactly 0 and no gradient. The head contexts
+are max-pooled into the attended summary; the sentence vector is
+concat(attended, recurrent), one (B, 2*d_cell) row per lane.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Matrix, ShapeError
+from .data import PAD
 
 
 @dataclass
@@ -40,30 +50,37 @@ class EncoderParams:
 
 @dataclass
 class AttentionOutput:
-    weights: Matrix   # (n_a, T), rows are distributions over timesteps
-    contexts: Matrix  # (n_a, d_cell), row i = attention-weighted state sum
+    weights: np.ndarray  # (B, n_a, T), each row a distribution over the lane's real steps
+    contexts: Matrix     # (B*n_a, d_cell), row b*n_a + i = head i's weighted state sum
 
 
 @dataclass
 class SentenceRepresentation:
-    attended: Matrix   # (1, d_cell)
-    recurrent: Matrix  # (1, d_cell)
-    combined: Matrix   # (1, 2*d_cell) = concat(attended, recurrent)
+    attended: Matrix   # (B, d_cell)
+    recurrent: Matrix  # (B, d_cell)
+    combined: Matrix   # (B, 2*d_cell) = concat(attended, recurrent)
 
 
-def lstm_step(cell: LstmCellParams, x: Matrix, h_prev: Matrix, c_prev: Matrix):
-    """One LSTM step on row-vector states; returns (h, c).
+def project_inputs(cell: LstmCellParams, xs: Matrix) -> Matrix:
+    """Input part of the gate pre-activations of all rows at once: xs @ input_w + bias."""
+    return ad.add_rowvec(ad.matmul(xs, cell.input_w), cell.bias)
 
-    Fused op with an analytic backward (verified against finite differences
-    in the test suite). Rows beyond 1 act as independent lanes.
+
+def lstm_step(cell: LstmCellParams, x_pre: Matrix, h_prev: Matrix, c_prev: Matrix):
+    """One LSTM step over B lanes of (B, d) states; returns (h, c).
+
+    x_pre is the step's input pre-activation (B, 4d) from `project_inputs`,
+    so input_w and bias get their gradients through that projection. Fused
+    op with an analytic backward (verified against finite differences in
+    the test suite).
     """
-    d = cell.hidden_dim
-    if x.cols != cell.input_w.rows or h_prev.cols != d or c_prev.cols != d:
+    d = cell.recur_w.data.shape[0]
+    if x_pre.data.shape != (h_prev.data.shape[0], 4 * d) or h_prev.data.shape != c_prev.data.shape:
         raise ShapeError(
-            f"lstm_step: x {x.shape}, h {h_prev.shape}, c {c_prev.shape} "
-            f"vs input_w {cell.input_w.shape}, recur_w {cell.recur_w.shape}"
+            f"lstm_step: x_pre {x_pre.shape}, h {h_prev.shape}, c {c_prev.shape} "
+            f"vs recur_w {cell.recur_w.shape}"
         )
-    pre = x.data @ cell.input_w.data + h_prev.data @ cell.recur_w.data + cell.bias.data
+    pre = x_pre.data + h_prev.data @ cell.recur_w.data
     gates = ad.sigmoid(pre)
     i, f, o = gates[:, :d], gates[:, d : 2 * d], gates[:, 3 * d :]
     g = np.tanh(pre[:, 2 * d : 3 * d])
@@ -82,72 +99,120 @@ def lstm_step(cell: LstmCellParams, x: Matrix, h_prev: Matrix, c_prev: Matrix):
         dc_total = dh * o * (1.0 - tc * tc)
         if dc is not None:
             dc_total = dc_total + dc
-        dpre = np.empty_like(pre)
-        dpre[:, :d] = dc_total * g * i * (1.0 - i)
-        dpre[:, d : 2 * d] = dc_total * c_prev.data * f * (1.0 - f)
-        dpre[:, 2 * d : 3 * d] = dc_total * i * (1.0 - g * g)
-        dpre[:, 3 * d :] = dh * tc * o * (1.0 - o)
-        x.accumulate(dpre @ cell.input_w.data.T)
+        dpre = gates * (1.0 - gates)  # logistic derivative, tanh's for the g block
+        dpre[:, 2 * d : 3 * d] = 1.0 - g * g
+        dpre[:, :d] *= dc_total * g
+        dpre[:, d : 2 * d] *= dc_total * c_prev.data
+        dpre[:, 2 * d : 3 * d] *= dc_total * i
+        dpre[:, 3 * d :] *= dh * tc
+        x_pre.accumulate(dpre)
         h_prev.accumulate(dpre @ cell.recur_w.data.T)
         c_prev.accumulate(dc_total * f)
-        cell.input_w.accumulate(x.data.T @ dpre)
         cell.recur_w.accumulate(h_prev.data.T @ dpre)
-        cell.bias.accumulate(dpre.sum(axis=0, keepdims=True))
 
-    ad.record("lstm_step", (x, h_prev, c_prev, cell.input_w, cell.recur_w, cell.bias),
-              (h_out, c_out), backward)
+    ad.record("lstm_step", (x_pre, h_prev, c_prev, cell.recur_w), (h_out, c_out), backward)
     return h_out, c_out
 
 
-def _run_direction(cell: LstmCellParams, xs: list[Matrix], reverse: bool) -> list[Matrix]:
-    d = cell.hidden_dim
-    h = Matrix._wrap(np.zeros((1, d)))
-    c = Matrix._wrap(np.zeros((1, d)))
-    states: list[Matrix | None] = [None] * len(xs)
-    order = reversed(range(len(xs))) if reverse else range(len(xs))
-    for t in order:
-        h, c = lstm_step(cell, xs[t], h, c)
-        states[t] = h
-    return states
+def run_lanes(cell: LstmCellParams, x_pre: Matrix, h: Matrix, c: Matrix) -> Matrix:
+    """Run the recurrence from (h, c) over time-major pre-activations (T*B, 4d), B = h.rows.
+
+    Returns the hidden states of every step, stacked time-major (T*B, d).
+    """
+    lanes = h.rows
+    hs = []
+    for start in range(0, x_pre.rows, lanes):
+        h, c = lstm_step(cell, ad.slice_rows(x_pre, start, start + lanes), h, c)
+        hs.append(h)
+    return ad.stack_rows(hs)
 
 
 def encode(params: EncoderParams, embeddings: Matrix, token_ids) -> tuple[Matrix, Matrix]:
-    """Run both directions over the embedded tokens.
+    """Run both directions over one id sequence or a (B, T) PAD-padded batch of them.
 
-    Returns the fused (d_cell, T) state matrix, whose column t is
-    max(fwd_t, bwd_t), plus the recurrent summary
-    h_s = max(final forward state, final backward state). Only real tokens
-    are passed in, so no state column ever corresponds to padding.
+    Returns the fused state matrix (T*B, d_cell), time-major, whose row
+    t*B + b is max(fwd_t, bwd_t) of lane b, plus the recurrent summary
+    h_s (B, d_cell), max(final forward state, final backward state) of each
+    lane. Rows at padded steps hold values that no output reads.
     """
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.size == 0:
+    ids = np.atleast_2d(np.asarray(token_ids, dtype=np.int64))
+    real = ids != PAD
+    if ids.size == 0 or not real[:, 0].all():
         raise ValueError("encode: empty token sequence")
-    xs = [ad.select_rows(embeddings, [int(i)]) for i in ids]
-    fwd = _run_direction(params.forward_cell, xs, reverse=False)
-    bwd = _run_direction(params.backward_cell, xs, reverse=True)
-    fused = [ad.max2(f, b) for f, b in zip(fwd, bwd)]
-    states = ad.transpose(ad.stack_rows(fused))
-    h_s = ad.max2(fwd[-1], bwd[0])
+    if (real[:, 1:] > real[:, :-1]).any():
+        raise ValueError("encode: PAD inside a sentence; lanes must be padded on the right")
+    lengths = real.sum(axis=1)
+    lanes, steps = ids.shape
+    d = params.forward_cell.hidden_dim
+    t = np.arange(steps)[:, None]
+    reversed_rows = (np.where(t < lengths, lengths - 1 - t, t) * lanes
+                     + np.arange(lanes)).reshape(-1)
+
+    xs = ad.select_rows(embeddings, ids.T.reshape(-1))
+    zeros = Matrix._wrap(np.zeros((lanes, d)))
+    fwd = run_lanes(params.forward_cell, project_inputs(params.forward_cell, xs), zeros, zeros)
+    bwd = run_lanes(params.backward_cell,
+                    project_inputs(params.backward_cell, ad.select_rows(xs, reversed_rows)),
+                    zeros, zeros)
+    # Row (len_b - 1)*B + b is lane b's last real step going forward and,
+    # in the backward direction's reversed order, its first token.
+    last = (lengths - 1) * lanes + np.arange(lanes)
+    h_s = ad.max2(ad.select_rows(fwd, last), ad.select_rows(bwd, last))
+    states = ad.max2(fwd, ad.select_rows(bwd, reversed_rows))
     return states, h_s
 
 
-def attend(attn_proj: Matrix, attn_heads: Matrix, states: Matrix) -> AttentionOutput:
-    """weights = softmax_rows(attn_heads @ tanh(attn_proj @ states)); contexts = weights @ states.T"""
-    scores = ad.matmul(attn_heads, ad.tanh(ad.matmul(attn_proj, states)))
-    weights = ad.softmax_rows(scores)
-    contexts = ad.matmul(weights, ad.transpose(states))
+def masked_attention(scores: Matrix, states: Matrix, mask: np.ndarray):
+    """Softmax of time-major scores (T*B, n_a) over each lane's real steps, and the contexts.
+
+    mask (B, T) is True on real steps; padded scores become -inf, so padding
+    gets weight exactly 0. Returns contexts (B*n_a, d), row b*n_a + i the
+    head-i weighted sum of lane b's states (T*B, d), and weights (B, n_a, T).
+    """
+    lanes, steps = mask.shape
+    if scores.rows != steps * lanes or states.rows != steps * lanes:
+        raise ShapeError(f"masked_attention: {scores.shape}, {states.shape} vs mask {mask.shape}")
+    d = states.cols
+    s = np.where(mask[:, None, :], scores.data.reshape(steps, lanes, -1).transpose(1, 2, 0),
+                 -np.inf)
+    e = np.exp(s - s.max(axis=2, keepdims=True))
+    w = e / e.sum(axis=2, keepdims=True)
+    h = states.data.reshape(steps, lanes, d).transpose(1, 0, 2)  # (B, T, d)
+    out = Matrix._wrap((w @ h).reshape(-1, d))
+
+    def backward():
+        g = out.grad.reshape(lanes, -1, d)
+        gw = g @ h.transpose(0, 2, 1)
+        gs = w * (gw - (gw * w).sum(axis=2, keepdims=True))
+        scores.accumulate(gs.transpose(2, 0, 1).reshape(steps * lanes, -1))
+        states.accumulate((w.transpose(0, 2, 1) @ g).transpose(1, 0, 2).reshape(steps * lanes, d))
+
+    ad.record("masked_attention", (scores, states), (out,), backward)
+    return out, w
+
+
+def attend(attn_proj: Matrix, attn_heads: Matrix, states: Matrix,
+           mask: np.ndarray) -> AttentionOutput:
+    """Score each state row with tanh(state @ attn_proj.T) @ attn_heads.T, then attend per lane."""
+    scores = ad.matmul(ad.tanh(ad.matmul(states, ad.transpose(attn_proj))),
+                       ad.transpose(attn_heads))
+    contexts, weights = masked_attention(scores, states, mask)
     return AttentionOutput(weights=weights, contexts=contexts)
 
 
 def compose(attn: AttentionOutput, h_s: Matrix) -> SentenceRepresentation:
-    """Max-pool the context vectors and concatenate with the recurrent summary."""
-    h_a = ad.reduce_max_rows(attn.contexts)
+    """Max-pool each lane's context vectors and concatenate with its recurrent summary."""
+    h_a = ad.reduce_max_rows(attn.contexts, h_s.rows)
     return SentenceRepresentation(attended=h_a, recurrent=h_s,
                                   combined=ad.concat_rows(h_a, h_s))
 
 
 def encode_sentence(params: EncoderParams, embeddings: Matrix, token_ids):
-    """Full pipeline: encode -> attend -> compose. Returns (representation, attention)."""
-    states, h_s = encode(params, embeddings, token_ids)
-    attn = attend(params.attn_proj, params.attn_heads, states)
+    """Full pipeline over one id sequence or a PAD-padded (B, T) batch: encode -> attend -> compose.
+
+    Returns (representation, attention), one row of the representation per lane.
+    """
+    ids = np.atleast_2d(np.asarray(token_ids, dtype=np.int64))
+    states, h_s = encode(params, embeddings, ids)
+    attn = attend(params.attn_proj, params.attn_heads, states, ids != PAD)
     return compose(attn, h_s), attn

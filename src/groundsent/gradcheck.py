@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .autodiff import Matrix, Tape, grad_check
 from .data import Corpus, CaptionRecord, build_vocab, make_batches, numericalize
 from .decoder import caption_nll
-from .encoder import attend, encode_sentence, lstm_step
+from .encoder import attend, encode_sentence, lstm_step, masked_attention, project_inputs
 from .grounding import grounding_loss, ranking_loss
 from .training import TrainConfig, composite_loss, init_params
 
@@ -56,101 +56,51 @@ def _away_from_zero(rng, shape, margin=0.2):
 def _primitive_checks() -> list[tuple[str, callable]]:
     """(name, build) pairs; build(rng) -> (scalar function, perturbed tensor)."""
 
-    def matmul_a(rng):
-        a = Matrix(rng.standard_normal((3, 4)))
-        b = Matrix(rng.standard_normal((4, 2)))
-        w = _readout(rng, (3, 2))
-        return lambda t: ad.sum_all(ad.mul(w, ad.matmul(t, b))), a
+    def check(op, *shapes, wrt=0, draw=None):
+        """Check op(*operands), read out by random weights, in operand `wrt`.
 
-    def matmul_b(rng):
-        a = Matrix(rng.standard_normal((3, 4)))
-        b = Matrix(rng.standard_normal((4, 2)))
-        w = _readout(rng, (3, 2))
-        return lambda t: ad.sum_all(ad.mul(w, ad.matmul(a, t))), b
-
-    def unary(op, keep_off_kink=False):
+        Operands are standard normal of the given shapes; draw(rng, shape),
+        when given, draws operand `wrt` instead (to keep it off a kink).
+        """
         def build(rng):
-            data = _away_from_zero(rng, (2, 3)) if keep_off_kink else rng.standard_normal((2, 3))
-            x = Matrix(data)
-            w = _readout(rng, (2, 3))
-            return lambda t: ad.sum_all(ad.mul(w, op(t))), x
+            args = [Matrix(rng.standard_normal(shape)) for shape in shapes]
+            if draw is not None:
+                args[wrt] = Matrix(draw(rng, shapes[wrt]))
+            w = _readout(rng, op(*args).shape)
+
+            def f(t):
+                operands = [t if k == wrt else a for k, a in enumerate(args)]
+                return ad.sum_all(ad.mul(w, op(*operands)))
+
+            return f, args[wrt]
 
         return build
 
-    def binary(op):
-        def build(rng):
-            a = Matrix(rng.standard_normal((3, 2)))
-            b = Matrix(rng.standard_normal((3, 2)) + 0.01)
-            w = _readout(rng, (3, 2))
-            return lambda t: ad.sum_all(ad.mul(w, op(t, b))), a
+    def distinct(rng, shape):  # argmax ties would sit on a kink
+        return rng.permutation(np.prod(shape)).reshape(shape) + 0.1 * rng.standard_normal(shape)
 
-        return build
-
-    def softmax(rng):
-        x = Matrix(rng.standard_normal((2, 5)))
-        w = _readout(rng, (2, 5))
-        return lambda t: ad.sum_all(ad.mul(w, ad.softmax_rows(t))), x
-
-    def reduce_max(rng):
-        base = rng.permutation(12).reshape(3, 4).astype(float)
-        x = Matrix(base + 0.1 * rng.standard_normal((3, 4)))
-        w = _readout(rng, (1, 4))
-        return lambda t: ad.sum_all(ad.mul(w, ad.reduce_max_rows(t))), x
-
-    def concat(rng):
-        a = Matrix(rng.standard_normal((1, 3)))
-        b = Matrix(rng.standard_normal((1, 2)))
-        w = _readout(rng, (1, 5))
-        return lambda t: ad.sum_all(ad.mul(w, ad.concat_rows(t, b))), a
-
-    def transpose(rng):
-        x = Matrix(rng.standard_normal((2, 4)))
-        w = _readout(rng, (4, 2))
-        return lambda t: ad.sum_all(ad.mul(w, ad.transpose(t))), x
-
-    def stack(rng):
-        x = Matrix(rng.standard_normal((1, 3)))
-        y = Matrix(rng.standard_normal((1, 3)))
-        w = _readout(rng, (2, 3))
-        return lambda t: ad.sum_all(ad.mul(w, ad.stack_rows([t, y]))), x
-
-    def select(rng):
-        m = Matrix(rng.standard_normal((5, 3)))
-        w = _readout(rng, (3, 3))
-        return lambda t: ad.sum_all(ad.mul(w, ad.select_rows(t, [0, 2, 2]))), m
-
-    def rowvec(rng):
-        m = Matrix(rng.standard_normal((3, 4)))
-        v = Matrix(rng.standard_normal((1, 4)))
-        w = _readout(rng, (3, 4))
-        return lambda t: ad.sum_all(ad.mul(w, ad.add_rowvec(m, t))), v
-
-    def normalize(rng):
-        x = Matrix(_away_from_zero(rng, (3, 4)))
-        w = _readout(rng, (3, 4))
-        return lambda t: ad.sum_all(ad.mul(w, ad.normalize_rows(t))), x
-
-    def scale_op(rng):
-        x = Matrix(rng.standard_normal((2, 3)))
-        return lambda t: ad.sum_all(ad.scale(t, 1.7)), x
-
+    lanes = np.array([[True] * 4, [True] * 2 + [False] * 2])  # 2 lanes of 4 and 2 steps
     return [
-        ("matmul/a", matmul_a),
-        ("matmul/b", matmul_b),
-        ("tanh", unary(ad.tanh)),
-        ("relu", unary(ad.relu, keep_off_kink=True)),
-        ("add", binary(ad.add)),
-        ("mul", binary(ad.mul)),
-        ("max2", binary(ad.max2)),
-        ("scale", scale_op),
-        ("softmax_rows", softmax),
-        ("reduce_max_rows", reduce_max),
-        ("concat_rows", concat),
-        ("transpose", transpose),
-        ("stack_rows", stack),
-        ("select_rows", select),
-        ("add_rowvec", rowvec),
-        ("normalize_rows", normalize),
+        ("matmul/a", check(ad.matmul, (3, 4), (4, 2))),
+        ("matmul/b", check(ad.matmul, (3, 4), (4, 2), wrt=1)),
+        ("tanh", check(ad.tanh, (2, 3))),
+        ("relu", check(ad.relu, (2, 3), draw=_away_from_zero)),
+        ("add", check(ad.add, (3, 2), (3, 2))),
+        ("mul", check(ad.mul, (3, 2), (3, 2))),
+        ("max2", check(ad.max2, (3, 2), (3, 2))),
+        ("scale", check(lambda x: ad.scale(x, 1.7), (2, 3))),
+        ("reduce_max_rows", check(lambda x: ad.reduce_max_rows(x, 2), (6, 2), draw=distinct)),
+        ("concat_rows", check(ad.concat_rows, (2, 3), (2, 2))),
+        ("transpose", check(ad.transpose, (2, 4))),
+        ("stack_rows", check(lambda a, b: ad.stack_rows([b, a]), (2, 3), (1, 3))),
+        ("slice_rows", check(lambda m: ad.slice_rows(m, 1, 3), (5, 3))),
+        ("select_rows", check(lambda m: ad.select_rows(m, [0, 2, 2]), (5, 3))),
+        ("masked_attention/scores",
+         check(lambda s, h: masked_attention(s, h, lanes)[0], (4 * 2, 3), (4 * 2, 2))),
+        ("masked_attention/states",
+         check(lambda s, h: masked_attention(s, h, lanes)[0], (4 * 2, 3), (4 * 2, 2), wrt=1)),
+        ("add_rowvec", check(ad.add_rowvec, (3, 4), (1, 4), wrt=1)),
+        ("normalize_rows", check(ad.normalize_rows, (3, 4), draw=_away_from_zero)),
     ]
 
 
@@ -203,14 +153,15 @@ def _model_checks(seed: int) -> list[CheckResult]:
 
     def chain3(_):
         cell = params.encoder.forward_cell
-        h = Matrix(np.zeros((1, config.d_cell)))
-        c = Matrix(np.zeros((1, config.d_cell)))
+        x_pre = project_inputs(cell, Matrix(xs))
+        h = Matrix(np.zeros((2, config.d_cell)))
+        c = Matrix(np.zeros((2, config.d_cell)))
         for t in range(3):
-            h, c = lstm_step(cell, Matrix(xs[t : t + 1]), h, c)
+            h, c = lstm_step(cell, ad.slice_rows(x_pre, 2 * t, 2 * t + 2), h, c)
         return ad.sum_all(ad.mul(readout_h, h))
 
-    xs = rng.standard_normal((3, config.d_e))
-    readout_h = _readout(rng, (1, config.d_cell))
+    xs = rng.standard_normal((3 * 2, config.d_e))  # 3 steps of 2 lanes, time-major
+    readout_h = _readout(rng, (2, config.d_cell))
     worst = max(
         grad_check(chain3, theta)
         for theta in (params.encoder.forward_cell.input_w,
@@ -219,22 +170,22 @@ def _model_checks(seed: int) -> list[CheckResult]:
     )
     results.append(CheckResult("lstm_step/3-chain", worst))
 
-    H = Matrix(rng.standard_normal((config.d_cell, 5)))
-    readout_ctx = _readout(rng, (config.n_a, config.d_cell))
+    mask = np.array([[True] * 5, [True] * 3 + [False] * 2])  # lanes of 5 and 3 steps
+    H = Matrix(rng.standard_normal((5 * 2, config.d_cell)))
+    readout_ctx = _readout(rng, (2 * config.n_a, config.d_cell))
 
     def attend_fn(_):
-        out = attend(params.encoder.attn_proj, params.encoder.attn_heads, H)
+        out = attend(params.encoder.attn_proj, params.encoder.attn_heads, H, mask)
         return ad.sum_all(ad.mul(readout_ctx, out.contexts))
 
     worst = max(grad_check(attend_fn, theta)
                 for theta in (params.encoder.attn_proj, params.encoder.attn_heads, H))
     results.append(CheckResult("attend", worst))
 
-    seq = samples[0].src
-    readout_rep = _readout(rng, (1, 2 * config.d_cell))
+    readout_rep = _readout(rng, (batch.size, 2 * config.d_cell))
 
     def pipeline(_):
-        rep, _ = encode_sentence(params.encoder, params.embeddings, seq)
+        rep, _ = encode_sentence(params.encoder, params.embeddings, batch.src)
         return ad.sum_all(ad.mul(readout_rep, rep.combined))
 
     worst = max(grad_check(pipeline, theta)
@@ -243,11 +194,10 @@ def _model_checks(seed: int) -> list[CheckResult]:
                               params.encoder.attn_proj, params.encoder.attn_heads))
     results.append(CheckResult("encode_sentence", worst))
 
-    rep_fixed = Matrix(rng.standard_normal((1, 2 * config.d_cell)))
-    tgt = samples[1].tgt
+    rep_fixed = Matrix(rng.standard_normal((batch.size, 2 * config.d_cell)))
 
     def nll_fn(_):
-        return caption_nll(params.decoder, params.embeddings, rep_fixed, tgt)
+        return caption_nll(params.decoder, params.embeddings, rep_fixed, batch.tgt)
 
     worst = max(grad_check(nll_fn, theta)
                 for theta in (params.decoder.init_h_proj, params.decoder.cell.recur_w,

@@ -209,29 +209,24 @@ def composite_loss(objective: str, batch: Batch, params: ModelParameters,
     """Forward one batch under the requested objective.
 
     Returns (loss Matrix, caption-loss float, grounding-loss float); the
-    component not used by a single-task objective reports 0.0. The caption
-    loss is summed over tokens and averaged over the batch.
+    component not used by a single-task objective reports 0.0. The whole
+    batch runs as lanes through one encoder and one decoder call. The
+    caption loss is summed over tokens and averaged over the batch.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    reps = []
-    for k in range(batch.size):
-        rep, _ = encode_sentence(params.encoder, params.embeddings, batch.src_ids(k))
-        reps.append(rep.combined)
+    rep, _ = encode_sentence(params.encoder, params.embeddings, batch.src)
+    reps = rep.combined
 
     terms = []
     loss_c = loss_vg = 0.0
     if objective in ("cap2cap", "cap2all"):
-        total = None
-        for k in range(batch.size):
-            nll = caption_nll(params.decoder, params.embeddings, reps[k], batch.tgt_ids(k))
-            total = nll if total is None else ad.add(total, nll)
-        mean_nll = ad.scale(total, 1.0 / batch.size)
+        nll = caption_nll(params.decoder, params.embeddings, reps, batch.tgt)
+        mean_nll = ad.scale(nll, 1.0 / batch.size)
         loss_c = mean_nll.item()
         terms.append(mean_nll)
     if objective in ("cap2img", "cap2all"):
-        stacked = ad.stack_rows(reps)
-        vg = grounding_loss(stacked, batch.images, params.projection,
+        vg = grounding_loss(reps, batch.images, params.projection,
                             train_mode=train_mode, rng=rng)
         loss_vg = vg.item()
         terms.append(vg)
@@ -346,6 +341,9 @@ def train(config: TrainConfig, corpus: Corpus, out_dir=None,
         raise ValueError(
             f"corpus d_img={corpus.d_img} does not match config d_img={config.d_img}"
         )
+    if len(corpus) < 2:
+        raise ValueError(f"corpus has {len(corpus)} sample(s); training needs at least 2 "
+                         "to form a batch")
     vocab = build_vocab(corpus, min_count=1)
     samples = numericalize(corpus, vocab)
 

@@ -4,8 +4,6 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from groundsent import autodiff as ad
 from groundsent.autodiff import Matrix, ShapeError, Tape, grad_check
@@ -121,45 +119,6 @@ def test_scale_grad():
     def build(rng):
         x = Matrix(rng.standard_normal((2, 4)))
         return lambda t: ad.sum_all(ad.scale(t, -2.5)), x
-
-    check_op(build)
-
-
-# ---------------------------------------------------------------------------
-# softmax
-
-
-def test_softmax_uniform_row():
-    out = ad.softmax_rows(Matrix([[0.0, 0.0, 0.0]]))
-    np.testing.assert_allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]])
-
-
-def test_softmax_large_logits_stable():
-    out = ad.softmax_rows(Matrix([[1000.0, 0.0]]))
-    assert np.all(np.isfinite(out.data))
-    np.testing.assert_allclose(out.data[0, 0], 1.0)
-    assert out.data[0, 1] < 1e-300
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=4, max_size=4),
-        min_size=1,
-        max_size=5,
-    )
-)
-def test_softmax_rows_are_distributions(rows):
-    out = ad.softmax_rows(Matrix(np.array(rows)))
-    assert np.all(out.data >= 0.0)
-    np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
-
-
-def test_softmax_grad():
-    def build(rng):
-        x = Matrix(rng.standard_normal((2, 5)))
-        w = Matrix(rng.standard_normal((2, 5)))
-        return lambda t: ad.sum_all(ad.mul(w, ad.softmax_rows(t))), x
 
     check_op(build)
 

@@ -114,3 +114,31 @@ def test_missing_corpus_fails_cleanly(capsys):
     code = main(["eval", "--checkpoint", "nope.bin", "--corpus", "nope.jsonl"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_train_on_one_sample_corpus_fails_before_writing(tmp_path, capsys):
+    corpus, run = tmp_path / "one.jsonl", tmp_path / "run"
+    assert main(["gen-synth", "--n", "1", "--vocab", "16", "--d-img", "8",
+                 "--out", str(corpus)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--corpus", str(corpus), "--out", str(run), "--epochs", "1",
+                 "--batch", "4", *SMALL_DIMS]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "at least 2" in err[0]
+    assert not (run / "checkpoint.bin").exists() and not (run / "metrics.jsonl").exists()
+
+
+def test_train_on_corpus_without_d_img_fails_cleanly(tmp_path, capsys):
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_text('{"dim": 2}\n{"id": "x", "src": "a", "tgt": "a", "img": [1.0, 0.0]}\n')
+    assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "run"),
+                 *SMALL_DIMS]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: corpus line 1")
+
+
+def test_eval_on_truncated_checkpoint_fails_cleanly(workspace, tmp_path, capsys):
+    cut = tmp_path / "cut.bin"
+    cut.write_bytes(workspace["checkpoint"].read_bytes()[:3000])
+    assert main(["eval", "--checkpoint", str(cut), "--corpus", str(workspace["corpus"])]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {cut}: truncated or corrupt checkpoint"

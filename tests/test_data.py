@@ -196,6 +196,30 @@ def test_corpus_load_rejects_zero_norm_image(tmp_path):
         Corpus.load(path)
 
 
+@pytest.mark.parametrize("header", ['{"dim": 2}', '{"d_img": "two"}', '[2]', 'not json'])
+def test_corpus_load_rejects_bad_header_naming_line_one(tmp_path, header):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(header + '\n{"id": "x", "src": "a", "tgt": "a", "img": [1.0, 0.0]}\n')
+    with pytest.raises(ValueError, match="corpus line 1"):
+        Corpus.load(path)
+
+
+def test_corpus_load_rejects_missing_field_naming_line(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"d_img": 2}\n{"id": "x", "src": "a", "img": [1.0, 0.0]}\n')
+    with pytest.raises(ValueError, match="corpus line 2: missing field 'tgt'"):
+        Corpus.load(path)
+
+
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+def test_corpus_load_rejects_non_finite_image_naming_line(tmp_path, value):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"d_img": 2}\n{"id": "x", "src": "a", "tgt": "a", "img": [1.0, 0.0]}\n'
+                    f'{{"id": "y", "src": "a", "tgt": "a", "img": [1.0, {value}]}}\n')
+    with pytest.raises(ValueError, match="corpus line 3: non-finite"):
+        Corpus.load(path)
+
+
 # ---------------------------------------------------------------------------
 # batching
 

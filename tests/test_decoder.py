@@ -5,7 +5,7 @@ import pytest
 
 from groundsent import autodiff as ad
 from groundsent.autodiff import Matrix, Tape, grad_check
-from groundsent.data import BOS, EOS, PAD
+from groundsent.data import BOS, EOS, PAD, pad_sequences
 from groundsent.decoder import DecoderParams, caption_nll, greedy_decode, init_state
 from groundsent.encoder import LstmCellParams
 
@@ -139,3 +139,16 @@ def test_greedy_decode_deterministic():
     emb = Matrix(rng.standard_normal((9, 3)))
     rep = Matrix(rng.standard_normal((1, 8)))
     assert greedy_decode(dec, emb, rep, 8) == greedy_decode(dec, emb, rep, 8)
+
+
+def test_batch_nll_is_sum_of_lane_nlls():
+    rng = np.random.default_rng(11)
+    dec = make_decoder(9, 3, 4, rng)
+    emb = Matrix(rng.standard_normal((9, 3)))
+    tgts = [[BOS, 4, 5, EOS], [BOS, 6, 7, 8, 4, EOS], [BOS, EOS]]
+    reps = rng.standard_normal((3, 8))
+    lanes = sum(caption_nll(dec, emb, Matrix(reps[k : k + 1]), t).item()
+                for k, t in enumerate(tgts))
+    ids, _ = pad_sequences([np.array(t) for t in tgts])
+    batch = caption_nll(dec, emb, Matrix(reps), ids).item()
+    assert batch == pytest.approx(lanes, rel=1e-12, abs=0)

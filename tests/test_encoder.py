@@ -7,8 +7,10 @@ import pytest
 
 from groundsent import autodiff as ad
 from groundsent.autodiff import Matrix, Tape, grad_check
+from groundsent.data import PAD, pad_sequences
 from groundsent.encoder import (
-    EncoderParams, LstmCellParams, attend, compose, encode, encode_sentence, lstm_step,
+    AttentionOutput, EncoderParams, LstmCellParams, attend, compose, encode, encode_sentence,
+    lstm_step, project_inputs,
 )
 
 
@@ -37,6 +39,23 @@ def make_encoder(d_e, d, d_a, n_a, rng, tied=False):
     )
 
 
+def lane_encodings(params, emb, seq):
+    """encode() of seq alone (B = 1) and as lane 1 of a batch with a longer and a shorter lane.
+
+    Yields (states, h_s) of seq's lane: states (len(seq), d) in sentence order, h_s (d,).
+    """
+    longer = list(seq) + [1, 2, 3]
+    for batch, lane in (([seq], 0), ([longer, seq, seq[:1]], 1)):
+        ids, _ = pad_sequences([np.asarray(s) for s in batch])
+        states, h_s = encode(params, emb, ids)
+        yield states.data[lane :: len(batch)][: len(seq)], h_s.data[lane]
+
+
+def time_major(lanes):
+    """Stack per-lane (T, d) arrays into time-major (T*B, d) rows."""
+    return np.stack(lanes, axis=1).reshape(-1, lanes[0].shape[1])
+
+
 # ---------------------------------------------------------------------------
 # lstm_step
 
@@ -44,7 +63,7 @@ def make_encoder(d_e, d, d_a, n_a, rng, tied=False):
 def test_lstm_step_zero_weights_gives_zero_state():
     rng = np.random.default_rng(0)
     cell = make_cell(3, 4, rng, zero=True)
-    h, c = lstm_step(cell, Matrix(rng.standard_normal((1, 3))),
+    h, c = lstm_step(cell, project_inputs(cell, Matrix(rng.standard_normal((1, 3)))),
                      Matrix(np.zeros((1, 4))), Matrix(np.zeros((1, 4))))
     np.testing.assert_array_equal(h.data, np.zeros((1, 4)))
     np.testing.assert_array_equal(c.data, np.zeros((1, 4)))
@@ -58,7 +77,7 @@ def test_lstm_step_saturated_forget_gate_carries_cell():
     cell.bias.data[0, :d] = -30.0          # input gate ~ 0
     cell.bias.data[0, d : 2 * d] = 30.0    # forget gate ~ 1
     c_prev = Matrix(rng.standard_normal((1, d)))
-    _, c = lstm_step(cell, Matrix(rng.standard_normal((1, 2))),
+    _, c = lstm_step(cell, project_inputs(cell, Matrix(rng.standard_normal((1, 2)))),
                      Matrix(rng.standard_normal((1, d))), c_prev)
     np.testing.assert_allclose(c.data, c_prev.data, atol=1e-9)
 
@@ -77,7 +96,7 @@ def test_lstm_step_extreme_preactivations_stay_finite_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with Tape() as tape:
-            h, c = lstm_step(cell, x, h0, c0)
+            h, c = lstm_step(cell, project_inputs(cell, x), h0, c0)
             tape.backward(ad.sum_all(ad.add(h, c)))
     # lane 0: all gates open and g = 1, so c = 0.5 + 1; lane 1: all gates shut
     np.testing.assert_array_equal(c.data, [[1.5, 1.5], [0.0, 0.0]])
@@ -94,10 +113,11 @@ def test_lstm_step_three_step_chain_matches_finite_differences():
     readout = Matrix(rng.standard_normal((1, d)))
 
     def run(_):
+        x_pre = project_inputs(cell, Matrix(xs_data))
         h = Matrix(np.zeros((1, d)))
         c = Matrix(np.zeros((1, d)))
         for t in range(3):
-            h, c = lstm_step(cell, Matrix(xs_data[t : t + 1]), h, c)
+            h, c = lstm_step(cell, ad.slice_rows(x_pre, t, t + 1), h, c)
         return ad.sum_all(ad.mul(readout, h))
 
     for theta in (cell.input_w, cell.recur_w, cell.bias):
@@ -112,11 +132,11 @@ def test_lstm_step_input_gradients():
     x = Matrix(rng.standard_normal((1, 3)))
 
     def through_x(t):
-        h, c = lstm_step(cell, t, h0, c0)
+        h, c = lstm_step(cell, project_inputs(cell, t), h0, c0)
         return ad.sum_all(ad.add(h, c))
 
     def through_c(t):
-        h, c = lstm_step(cell, x, h0, t)
+        h, c = lstm_step(cell, project_inputs(cell, x), h0, t)
         return ad.sum_all(ad.add(h, c))
 
     assert grad_check(through_x, x) < 1e-6
@@ -131,9 +151,9 @@ def test_encode_single_token_column_equals_summary():
     rng = np.random.default_rng(4)
     emb = Matrix(rng.standard_normal((6, 3)))
     params = make_encoder(3, 4, 2, 2, rng)
-    states, h_s = encode(params, emb, [5])
-    assert states.shape == (4, 1)
-    np.testing.assert_allclose(states.data[:, 0], h_s.data[0])
+    for states, h_s in lane_encodings(params, emb, [5]):
+        assert states.shape == (1, 4)
+        np.testing.assert_allclose(states[0], h_s, rtol=0, atol=1e-12)
 
 
 def test_encode_rejects_empty_sequence():
@@ -142,6 +162,16 @@ def test_encode_rejects_empty_sequence():
     params = make_encoder(3, 4, 2, 2, rng)
     with pytest.raises(ValueError):
         encode(params, emb, [])
+    with pytest.raises(ValueError, match="empty"):
+        encode(params, emb, [[4, 5], [PAD, PAD]])
+
+
+def test_encode_rejects_pad_inside_a_lane():
+    rng = np.random.default_rng(5)
+    emb = Matrix(rng.standard_normal((6, 3)))
+    params = make_encoder(3, 4, 2, 2, rng)
+    with pytest.raises(ValueError, match="padded on the right"):
+        encode(params, emb, [[4, PAD, 5], [4, 5, 5]])
 
 
 def test_encode_zero_weights_zero_states():
@@ -153,20 +183,19 @@ def test_encode_zero_weights_zero_states():
         attn_proj=Matrix(np.zeros((2, 4))),
         attn_heads=Matrix(np.zeros((2, 2))),
     )
-    states, h_s = encode(params, emb, [1, 2, 3])
-    np.testing.assert_array_equal(states.data, np.zeros((4, 3)))
-    np.testing.assert_array_equal(h_s.data, np.zeros((1, 4)))
+    for states, h_s in lane_encodings(params, emb, [1, 2, 3]):
+        np.testing.assert_array_equal(states, np.zeros((3, 4)))
+        np.testing.assert_array_equal(h_s, np.zeros(4))
 
 
 def test_encode_palindrome_with_tied_weights_is_column_symmetric():
     # With shared direction weights the backward pass of a palindrome mirrors
-    # the forward pass, so fused state columns come out palindromic too.
+    # the forward pass, so fused states come out palindromic too, in any lane.
     rng = np.random.default_rng(7)
     emb = Matrix(rng.standard_normal((6, 3)))
     params = make_encoder(3, 4, 2, 2, rng, tied=True)
-    states, _ = encode(params, emb, [2, 5, 2])
-    H = states.data
-    np.testing.assert_allclose(H[:, 0], H[:, 2], atol=1e-12)
+    for states, _ in lane_encodings(params, emb, [2, 5, 2]):
+        np.testing.assert_allclose(states[0], states[2], atol=1e-12)
 
 
 def test_encode_reversal_with_tied_weights_reverses_columns():
@@ -174,9 +203,9 @@ def test_encode_reversal_with_tied_weights_reverses_columns():
     emb = Matrix(rng.standard_normal((8, 3)))
     params = make_encoder(3, 4, 2, 2, rng, tied=True)
     seq = [1, 4, 7, 2]
-    H_fwd = encode(params, emb, seq)[0].data
-    H_rev = encode(params, emb, seq[::-1])[0].data
-    np.testing.assert_allclose(H_fwd, H_rev[:, ::-1], atol=1e-12)
+    for (H_fwd, _), (H_rev, _) in zip(lane_encodings(params, emb, seq),
+                                      lane_encodings(params, emb, seq[::-1])):
+        np.testing.assert_allclose(H_fwd, H_rev[::-1], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -185,40 +214,68 @@ def test_encode_reversal_with_tied_weights_reverses_columns():
 
 def test_attend_zero_proj_gives_uniform_rows_and_mean_contexts():
     rng = np.random.default_rng(9)
-    H = Matrix(rng.standard_normal((4, 5)))
-    out = attend(Matrix(np.zeros((3, 4))), Matrix(rng.standard_normal((2, 3))), H)
-    np.testing.assert_allclose(out.weights.data, np.full((2, 5), 0.2), atol=1e-12)
-    mean_state = H.data.mean(axis=1)
-    for row in out.contexts.data:
-        np.testing.assert_allclose(row, mean_state, atol=1e-12)
+    lanes = [rng.standard_normal((5, 4)), rng.standard_normal((5, 4))]
+    mask = np.array([[True] * 5, [True] * 3 + [False] * 2])
+    heads = Matrix(rng.standard_normal((2, 3)))
+    for states, m in ((time_major(lanes[:1]), mask[:1]), (time_major(lanes), mask)):
+        out = attend(Matrix(np.zeros((3, 4))), heads, Matrix(states), m)
+        for b, n in enumerate(m.sum(axis=1)):
+            want = np.zeros(5)
+            want[:n] = 1.0 / n
+            np.testing.assert_allclose(out.weights[b], [want, want], rtol=0, atol=1e-12)
+            for row in out.contexts.data[2 * b : 2 * b + 2]:
+                np.testing.assert_allclose(row, lanes[b][:n].mean(axis=0), atol=1e-12)
 
 
 def test_attend_single_timestep_is_degenerate():
     rng = np.random.default_rng(10)
-    H = Matrix(rng.standard_normal((4, 1)))
-    out = attend(Matrix(rng.standard_normal((3, 4))), Matrix(rng.standard_normal((2, 3))), H)
-    np.testing.assert_allclose(out.weights.data, np.ones((2, 1)))
-    for row in out.contexts.data:
-        np.testing.assert_allclose(row, H.data[:, 0])
+    lanes = [rng.standard_normal((3, 4)), rng.standard_normal((3, 4))]
+    mask = np.array([[True, False, False], [True, True, True]])
+    proj, heads = Matrix(rng.standard_normal((3, 4))), Matrix(rng.standard_normal((2, 3)))
+    single = attend(proj, heads, Matrix(lanes[0][:1]), mask[:1, :1])
+    np.testing.assert_allclose(single.weights[0], np.ones((2, 1)))
+    batched = attend(proj, heads, Matrix(time_major(lanes)), mask)
+    np.testing.assert_array_equal(batched.weights[0], [[1.0, 0.0, 0.0]] * 2)
+    for out in (single, batched):
+        for row in out.contexts.data[:2]:
+            np.testing.assert_allclose(row, lanes[0][0])
 
 
 def test_attend_rows_are_distributions():
     rng = np.random.default_rng(11)
-    H = Matrix(rng.standard_normal((4, 6)))
-    out = attend(Matrix(rng.standard_normal((3, 4))), Matrix(rng.standard_normal((5, 3))), H)
-    assert np.all(out.weights.data >= 0)
-    np.testing.assert_allclose(out.weights.data.sum(axis=1), 1.0, atol=1e-6)
+    mask = np.arange(6) < np.array([[6], [2], [4]])
+    states = Matrix(rng.standard_normal((6 * 3, 4)))
+    out = attend(Matrix(rng.standard_normal((3, 4))), Matrix(rng.standard_normal((5, 3))),
+                 states, mask)
+    assert out.weights.shape == (3, 5, 6)
+    assert np.all(out.weights >= 0)
+    np.testing.assert_allclose(out.weights.sum(axis=2), 1.0, atol=1e-12)
+    assert np.all(out.weights[~np.broadcast_to(mask[:, None, :], out.weights.shape)] == 0.0)
+
+
+def test_attend_masks_large_scores_on_padding_without_warnings():
+    # padded steps become -inf before the softmax, never 0 * inf
+    states = Matrix(np.full((2 * 2, 1), 1000.0))
+    mask = np.array([[True, True], [True, False]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with Tape() as tape:
+            out = attend(Matrix([[1.0]]), Matrix([[1e6]]), states, mask)
+            tape.backward(ad.sum_all(out.contexts))
+    np.testing.assert_array_equal(out.weights[:, 0], [[0.5, 0.5], [1.0, 0.0]])
+    assert np.all(np.isfinite(states.grad)) and states.grad[3, 0] == 0.0
 
 
 def test_attend_gradients():
     rng = np.random.default_rng(12)
-    H = Matrix(rng.standard_normal((4, 5)))
+    mask = np.array([[True] * 5, [True] * 2 + [False] * 3])
+    H = Matrix(rng.standard_normal((5 * 2, 4)))
     w1 = Matrix(rng.standard_normal((3, 4)))
     w2 = Matrix(rng.standard_normal((2, 3)))
-    readout = Matrix(rng.standard_normal((2, 4)))
+    readout = Matrix(rng.standard_normal((2 * 2, 4)))
 
     def run(_):
-        out = attend(w1, w2, H)
+        out = attend(w1, w2, H, mask)
         return ad.sum_all(ad.mul(readout, out.contexts))
 
     for theta in (w1, w2, H):
@@ -231,11 +288,9 @@ def test_attend_gradients():
 
 def test_compose_single_head_passes_context_through():
     rng = np.random.default_rng(13)
-    from groundsent.encoder import AttentionOutput
-
     ctx = Matrix(rng.standard_normal((1, 4)))
     h_s = Matrix(rng.standard_normal((1, 4)))
-    rep = compose(AttentionOutput(weights=Matrix(np.ones((1, 3)) / 3), contexts=ctx), h_s)
+    rep = compose(AttentionOutput(weights=np.ones((1, 1, 3)) / 3, contexts=ctx), h_s)
     np.testing.assert_array_equal(rep.attended.data, ctx.data)
     assert rep.combined.shape == (1, 8)
     np.testing.assert_array_equal(rep.combined.data[:, :4], rep.attended.data)
@@ -243,13 +298,18 @@ def test_compose_single_head_passes_context_through():
 
 
 def test_compose_identical_context_rows():
-    from groundsent.encoder import AttentionOutput
-
     row = np.array([[1.0, -2.0, 0.5]])
     ctx = Matrix(np.vstack([row, row, row]))
-    rep = compose(AttentionOutput(weights=Matrix(np.ones((3, 2)) / 2), contexts=ctx),
+    rep = compose(AttentionOutput(weights=np.ones((1, 3, 2)) / 2, contexts=ctx),
                   Matrix(np.zeros((1, 3))))
     np.testing.assert_array_equal(rep.attended.data, row)
+
+
+def test_compose_pools_heads_within_each_lane():
+    ctx = Matrix([[1.0, 0.0], [0.0, 2.0], [3.0, -1.0], [-3.0, -2.0]])  # 2 lanes x 2 heads
+    rep = compose(AttentionOutput(weights=np.ones((2, 2, 1)), contexts=ctx),
+                  Matrix(np.zeros((2, 1))))
+    np.testing.assert_array_equal(rep.attended.data, [[1.0, 2.0], [3.0, -1.0]])
 
 
 def test_encode_sentence_deterministic():
@@ -291,3 +351,22 @@ def test_encode_sentence_full_gradient_check():
     for theta in (params.attn_proj, params.attn_heads, params.forward_cell.recur_w,
                   params.backward_cell.input_w, emb):
         assert grad_check(run, theta) < 1e-4
+
+
+def test_lane_equals_sentence_alone_for_every_length():
+    # A sentence's lane inside a batch padded by longer sentences encodes as
+    # the sentence alone: padding must not enter either direction or attention.
+    rng = np.random.default_rng(18)
+    emb = Matrix(rng.standard_normal((12, 3)))
+    params = make_encoder(3, 4, 3, 2, rng)
+    longest = list(rng.integers(1, 12, size=9))
+    for n in range(1, 9):
+        seq = list(rng.integers(1, 12, size=n))
+        alone, attn_alone = encode_sentence(params, emb, seq)
+        ids, _ = pad_sequences([np.array(s) for s in (longest, seq, longest[: n + 1])])
+        batch, attn_batch = encode_sentence(params, emb, ids)
+        np.testing.assert_allclose(batch.combined.data[1], alone.combined.data[0],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(attn_batch.weights[1, :, :n], attn_alone.weights[0],
+                                   rtol=0, atol=1e-12)
+        assert np.all(attn_batch.weights[1, :, n:] == 0.0)

@@ -159,11 +159,12 @@ def test_embed_lines_identical_lines_identical_vectors():
 
 
 def test_embed_lines_context_independent():
+    # B = 1 and B > 1 run different BLAS kernels, so rows agree to rounding, not bits
     _, corpus, vocab, params, _ = setup_model()
     a = corpus.records[0].src
     alone = embed_lines(params, vocab, [a])
     together = embed_lines(params, vocab, [corpus.records[2].src, a])
-    np.testing.assert_array_equal(alone[0], together[1])
+    np.testing.assert_allclose(alone[0], together[1], rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

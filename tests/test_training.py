@@ -171,6 +171,23 @@ def test_cap2img_ignores_target_tokens():
     assert after == pytest.approx(base, abs=1e-12)
 
 
+def test_pad_row_gradient_is_exactly_zero():
+    # PAD fills the short lanes of a batch; no gradient may reach its embedding row
+    config = TrainConfig(objective="cap2all", **TINY)
+    corpus = gen_synthetic(12, 8, config.d_img, seed=0)
+    vocab = build_vocab(corpus, 1)
+    params = init_params(config, vocab.size)
+    batches = make_batches(numericalize(corpus, vocab), config.batch_size, seed=0)
+    for batch in batches:
+        assert not batch.src_mask.all() and not batch.tgt_mask.all()
+        params.zero_grads()
+        with Tape() as tape:
+            loss, _, _ = composite_loss("cap2all", batch, params, train_mode=False)
+            tape.backward(loss)
+        assert np.all(params.embeddings.grad[PAD] == 0.0)
+        assert np.any(params.embeddings.grad != 0.0)
+
+
 def test_composite_rejects_unknown_objective():
     config, params, batch, _, _ = tiny_setup()
     with pytest.raises(ValueError):
@@ -259,6 +276,20 @@ def test_checkpoint_save_interrupted_midway_keeps_previous_file(tmp_path, monkey
     assert path.read_bytes() == before
     assert ckpt.load(path)[4] == epoch
     assert sorted(os.listdir(path.parent)) == listing
+
+
+@pytest.mark.parametrize("where", ["header", "json", "tensor", "trailing"])
+def test_checkpoint_load_rejects_truncated_or_padded_file(tmp_path, where):
+    config = TrainConfig(objective="cap2all", **{**TINY, "epochs": 1})
+    result = train(config, gen_synthetic(6, 8, config.d_img, seed=4), out_dir=tmp_path / "run")
+    data = Path(result.checkpoint_path).read_bytes()
+    meta_len = int.from_bytes(data[8:16], "little")
+    cut = {"header": data[:10], "json": data[: 16 + meta_len // 2], "tensor": data[:-100],
+           "trailing": data + b"\0"}[where]
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(cut)
+    with pytest.raises(ValueError, match="truncated or corrupt checkpoint"):
+        ckpt.load(bad)
 
 
 def test_checkpoint_roundtrip_preserves_tensors(tmp_path):
