@@ -86,7 +86,7 @@ class Tape:
     """Ordered record of executed operations, replayed backward for gradients."""
 
     def __init__(self):
-        # Entries are (op name, inputs, outputs, backward closure) in execution order.
+        # Entries are (op name, inputs, output, backward closure) in execution order.
         self.entries: list[tuple] = []
 
     def __enter__(self) -> "Tape":
@@ -104,30 +104,30 @@ class Tape:
         if output.shape != (1, 1):
             raise ShapeError(f"backward needs a scalar (1x1) output, got {output.shape}")
         output.grad = np.ones((1, 1))
-        for _, _, outputs, backward in reversed(self.entries):
-            for out in outputs:
-                if out.grad is not None:
-                    backward()
-                    break
+        for _, _, out, backward in reversed(self.entries):
+            if out.grad is not None:
+                backward()
 
 
-def record(name: str, inputs: tuple, outputs: tuple, backward) -> None:
+def record(name: str, inputs: tuple, output: Matrix, backward) -> None:
     """Record a custom op on the active tape, if any.
 
-    Extension hook for composite ops (LSTM cells, fused losses) defined
-    outside this module. `backward` reads the outputs' .grad slots and
-    accumulates into the inputs. Tape.backward calls it only when some
-    output has a gradient; an op with several outputs must still handle
-    those whose .grad is None.
+    Extension hook for composite ops (the LSTM recurrence, fused losses)
+    defined outside this module. `backward` reads the output's .grad slot
+    and accumulates into the inputs. Tape.backward calls it only when the
+    output has a gradient.
     """
     tapes = _TAPES.get()
     if tapes:
-        tapes[-1].entries.append((name, inputs, outputs, backward))
+        tapes[-1].entries.append((name, inputs, output, backward))
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function of a numpy array, in the tanh form, which cannot overflow."""
-    return 0.5 + 0.5 * np.tanh(0.5 * z)
+def sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the logistic function of z into out, in the tanh form, which cannot overflow."""
+    np.tanh(np.multiply(z, 0.5, out=out), out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         a.accumulate(g @ b.data.T)
         b.accumulate(a.data.T @ g)
 
-    record("matmul", (a, b), (out,), backward)
+    record("matmul", (a, b), out, backward)
     return out
 
 
@@ -163,7 +163,7 @@ def add(a: Matrix, b: Matrix) -> Matrix:
         a.accumulate(g)
         b.accumulate(g)
 
-    record("add", (a, b), (out,), backward)
+    record("add", (a, b), out, backward)
     return out
 
 
@@ -176,7 +176,7 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
         a.accumulate(g * b.data)
         b.accumulate(g * a.data)
 
-    record("mul", (a, b), (out,), backward)
+    record("mul", (a, b), out, backward)
     return out
 
 
@@ -191,7 +191,7 @@ def max2(a: Matrix, b: Matrix) -> Matrix:
         a.accumulate(np.where(take_a, g, 0.0))
         b.accumulate(np.where(take_a, 0.0, g))
 
-    record("max2", (a, b), (out,), backward)
+    record("max2", (a, b), out, backward)
     return out
 
 
@@ -201,7 +201,7 @@ def scale(x: Matrix, s: float) -> Matrix:
     def backward():
         x.accumulate(out.grad * s)
 
-    record("scale", (x,), (out,), backward)
+    record("scale", (x,), out, backward)
     return out
 
 
@@ -212,7 +212,7 @@ def tanh(x: Matrix) -> Matrix:
     def backward():
         x.accumulate(out.grad * (1.0 - y * y))
 
-    record("tanh", (x,), (out,), backward)
+    record("tanh", (x,), out, backward)
     return out
 
 
@@ -223,7 +223,7 @@ def relu(x: Matrix) -> Matrix:
     def backward():
         x.accumulate(out.grad * mask)
 
-    record("relu", (x,), (out,), backward)
+    record("relu", (x,), out, backward)
     return out
 
 
@@ -243,7 +243,7 @@ def reduce_max_rows(x: Matrix, blocks: int = 1) -> Matrix:
         np.put_along_axis(gx, winners[:, None, :], out.grad[:, None, :], axis=1)
         x.accumulate(gx.reshape(x.shape))
 
-    record("reduce_max_rows", (x,), (out,), backward)
+    record("reduce_max_rows", (x,), out, backward)
     return out
 
 
@@ -259,7 +259,7 @@ def concat_rows(a: Matrix, b: Matrix) -> Matrix:
         a.accumulate(g[:, :p])
         b.accumulate(g[:, p:])
 
-    record("concat_rows", (a, b), (out,), backward)
+    record("concat_rows", (a, b), out, backward)
     return out
 
 
@@ -269,41 +269,7 @@ def transpose(x: Matrix) -> Matrix:
     def backward():
         x.accumulate(out.grad.T)
 
-    record("transpose", (x,), (out,), backward)
-    return out
-
-
-def stack_rows(parts: list[Matrix]) -> Matrix:
-    """Stack matrices of equal width on top of each other; backward splits by rows."""
-    if not parts:
-        raise ShapeError("stack_rows: no rows given")
-    for m in parts:
-        if m.cols != parts[0].cols:
-            raise ShapeError(f"stack_rows: widths differ, {m.shape} vs {parts[0].shape}")
-    out = Matrix._wrap(np.concatenate([m.data for m in parts]))
-    inputs = tuple(parts)
-
-    def backward():
-        g = out.grad
-        start = 0
-        for m in inputs:
-            m.accumulate(g[start : start + m.rows])
-            start += m.rows
-
-    record("stack_rows", inputs, (out,), backward)
-    return out
-
-
-def slice_rows(m: Matrix, start: int, stop: int) -> Matrix:
-    """Rows start:stop of m; backward adds into that slice of m's gradient only."""
-    out = Matrix._wrap(m.data[start:stop])
-
-    def backward():
-        if m.grad is None:
-            m.grad = np.zeros_like(m.data)
-        m.grad[start:stop] += out.grad
-
-    record("slice_rows", (m,), (out,), backward)
+    record("transpose", (x,), out, backward)
     return out
 
 
@@ -317,7 +283,7 @@ def select_rows(m: Matrix, ids) -> Matrix:
         np.add.at(gm, idx, out.grad)
         m.accumulate(gm)
 
-    record("select_rows", (m,), (out,), backward)
+    record("select_rows", (m,), out, backward)
     return out
 
 
@@ -332,7 +298,7 @@ def add_rowvec(m: Matrix, v: Matrix) -> Matrix:
         m.accumulate(g)
         v.accumulate(g.sum(axis=0, keepdims=True))
 
-    record("add_rowvec", (m, v), (out,), backward)
+    record("add_rowvec", (m, v), out, backward)
     return out
 
 
@@ -343,7 +309,7 @@ def sum_all(x: Matrix) -> Matrix:
     def backward():
         x.accumulate(np.full_like(x.data, out.grad[0, 0]))
 
-    record("sum_all", (x,), (out,), backward)
+    record("sum_all", (x,), out, backward)
     return out
 
 
@@ -363,7 +329,7 @@ def normalize_rows(x: Matrix) -> Matrix:
             gx[guarded] = g[guarded] / NORM_EPS
         x.accumulate(gx)
 
-    record("normalize_rows", (x,), (out,), backward)
+    record("normalize_rows", (x,), out, backward)
     return out
 
 

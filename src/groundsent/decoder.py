@@ -4,8 +4,9 @@ The sentence representation enters only through the initial-state
 projections; each step is then teacher-forced on the previous gold token.
 Lane layout as in the encoder: the (B, L) targets, right-padded with PAD,
 are read time-major, so row t*B + b of the step inputs, states and logits
-is step t of lane b. All input rows are projected by one matmul before
-the recurrence, and all states reach the vocabulary through one logits
+is step t of lane b. All input rows are projected by one matmul, the
+recurrence runs as one fused op (`encoder.run_lanes`) from the projected
+initial state, and all states reach the vocabulary through one logits
 matmul. Steps whose target is PAD are masked out of the loss, so padding
 adds nothing to it and gets no gradient.
 """
@@ -18,8 +19,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Matrix, ShapeError
-from .data import BOS, EOS, PAD
-from .encoder import LstmCellParams, lstm_step, project_inputs, run_lanes
+from .data import PAD
+from .encoder import LstmCellParams, project_inputs, run_lanes
 
 
 @dataclass
@@ -62,7 +63,7 @@ def cross_entropy_rows(logits: Matrix, targets: np.ndarray, keep: np.ndarray) ->
         soft[~keep] = 0.0
         logits.accumulate(out.grad[0, 0] * soft)
 
-    ad.record("cross_entropy_rows", (logits,), (out,), backward)
+    ad.record("cross_entropy_rows", (logits,), out, backward)
     return out
 
 
@@ -86,22 +87,3 @@ def caption_nll(params: DecoderParams, embeddings: Matrix, sentence_reps: Matrix
     logits = ad.add_rowvec(ad.matmul(states, ad.transpose(params.out_w)), params.out_b)
     targets = tgt[:, 1:].T.reshape(-1)
     return cross_entropy_rows(logits, targets, targets != pad_id)
-
-
-def greedy_decode(params: DecoderParams, embeddings: Matrix, sentence_rep: Matrix,
-                  max_len: int) -> list[int]:
-    """Argmax decoding from BOS until EOS or max_len emitted tokens."""
-    if max_len < 1:
-        raise ValueError(f"greedy_decode: max_len must be >= 1, got {max_len}")
-    h, c = init_state(params, sentence_rep)
-    token = BOS
-    out: list[int] = []
-    for _ in range(max_len):
-        x = ad.select_rows(embeddings, [token])
-        h, c = lstm_step(params.cell, project_inputs(params.cell, x), h, c)
-        logits = h.data @ params.out_w.data.T + params.out_b.data
-        token = int(np.argmax(logits[0]))
-        out.append(token)
-        if token == EOS:
-            break
-    return out

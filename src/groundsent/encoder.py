@@ -2,9 +2,9 @@
 
 Lane layout: a batch is a (B, T) id matrix, one sentence per row, padded
 on the right with PAD. Per-step values are (T*B, width) matrices in
-time-major order, row t*B + b holding step t of lane b, so one
-`lstm_step` advances the row block of step t. Each direction projects all
-its input rows with one matmul, then runs T steps over (B, d_cell) states.
+time-major order, row t*B + b holding step t of lane b. Each direction
+projects all its input rows with one matmul, then runs its T steps over
+(B, d_cell) states as one fused op (`run_lanes`).
 The backward direction reads each lane's real tokens reversed through the
 reversed-index map, row t*B + b <- row (len_b-1-t)*B + b on real steps and
 itself on padding; the map is its own inverse, so the same gather restores
@@ -66,65 +66,69 @@ def project_inputs(cell: LstmCellParams, xs: Matrix) -> Matrix:
     return ad.add_rowvec(ad.matmul(xs, cell.input_w), cell.bias)
 
 
-def lstm_step(cell: LstmCellParams, x_pre: Matrix, h_prev: Matrix, c_prev: Matrix):
-    """One LSTM step over B lanes of (B, d) states; returns (h, c).
+def run_lanes(cell: LstmCellParams, x_pre: Matrix, h0: Matrix, c0: Matrix) -> Matrix:
+    """Run the recurrence from (h0, c0) over time-major pre-activations (T*B, 4d), B = h0.rows.
 
-    x_pre is the step's input pre-activation (B, 4d) from `project_inputs`,
-    so input_w and bias get their gradients through that projection. Fused
-    op with an analytic backward (verified against finite differences in
-    the test suite).
+    Returns the hidden states of every step, time-major (T*B, d). x_pre
+    comes from `project_inputs`, so input_w and bias get their gradients
+    through that projection. One fused op with an analytic backward: BPTT
+    into one (T*B, 4d) pre-activation gradient, then recur_w's gradient as
+    one product over all steps.
     """
-    d = cell.recur_w.data.shape[0]
-    if x_pre.data.shape != (h_prev.data.shape[0], 4 * d) or h_prev.data.shape != c_prev.data.shape:
+    lanes, d = h0.shape
+    if (x_pre.cols != 4 * d or x_pre.rows % lanes or c0.shape != h0.shape
+            or cell.recur_w.shape != (d, 4 * d)):
         raise ShapeError(
-            f"lstm_step: x_pre {x_pre.shape}, h {h_prev.shape}, c {c_prev.shape} "
+            f"run_lanes: x_pre {x_pre.shape}, h0 {h0.shape}, c0 {c0.shape} "
             f"vs recur_w {cell.recur_w.shape}"
         )
-    pre = x_pre.data + h_prev.data @ cell.recur_w.data
-    gates = ad.sigmoid(pre)
-    i, f, o = gates[:, :d], gates[:, d : 2 * d], gates[:, 3 * d :]
-    g = np.tanh(pre[:, 2 * d : 3 * d])
-    c_new = f * c_prev.data + i * g
-    tc = np.tanh(c_new)
-    h_new = o * tc
-
-    h_out = Matrix._wrap(h_new)
-    c_out = Matrix._wrap(c_new)
+    steps = x_pre.rows // lanes
+    w = cell.recur_w.data
+    gates = np.empty((steps, lanes, 4 * d))  # i, f, o logistic; the g block tanh
+    cs = np.empty((steps + 1, lanes, d))     # cs[t + 1], hs[t + 1] after step t
+    hs = np.empty((steps + 1, lanes, d))
+    cs[0], hs[0] = c0.data, h0.data
+    for t, x in enumerate(x_pre.data.reshape(steps, lanes, 4 * d)):
+        a, c, h = gates[t], cs[t + 1], hs[t + 1]  # written in place
+        pre = x + hs[t] @ w
+        ad.sigmoid(pre, out=a)
+        np.tanh(pre[:, 2 * d : 3 * d], out=a[:, 2 * d : 3 * d])
+        np.multiply(a[:, d : 2 * d], cs[t], out=c)
+        c += a[:, :d] * a[:, 2 * d : 3 * d]
+        np.tanh(c, out=h)
+        h *= a[:, 3 * d :]
+    out = Matrix._wrap(hs[1:].reshape(-1, d))
 
     def backward():
-        dh = h_out.grad
-        dc = c_out.grad
-        if dh is None:
-            dh = np.zeros_like(h_new)
-        dc_total = dh * o * (1.0 - tc * tc)
-        if dc is not None:
-            dc_total = dc_total + dc
+        i, f, g, o = (gates[..., k * d : (k + 1) * d] for k in range(4))
+        tc = np.tanh(cs[1:])
+        # d pre / d c for the i, f and g blocks and d pre / d h for the o block, all steps at once
         dpre = gates * (1.0 - gates)  # logistic derivative, tanh's for the g block
-        dpre[:, 2 * d : 3 * d] = 1.0 - g * g
-        dpre[:, :d] *= dc_total * g
-        dpre[:, d : 2 * d] *= dc_total * c_prev.data
-        dpre[:, 2 * d : 3 * d] *= dc_total * i
-        dpre[:, 3 * d :] *= dh * tc
+        dpre[..., 2 * d : 3 * d] = 1.0 - g * g
+        dpre[..., :d] *= g
+        dpre[..., d : 2 * d] *= cs[:-1]
+        dpre[..., 2 * d : 3 * d] *= i
+        dpre[..., 3 * d :] *= tc
+        blocks = dpre.reshape(steps, lanes, 4, d)
+        dc_dh = o * (1.0 - tc * tc)
+        dh_out = out.grad.reshape(steps, lanes, d)
+        dh = np.zeros((lanes, d))
+        dc = np.zeros((lanes, d))
+        for t in reversed(range(steps)):
+            dh = dh + dh_out[t]
+            dc = dc + dh * dc_dh[t]
+            blocks[t, :, :3] *= dc[:, None, :]
+            blocks[t, :, 3] *= dh
+            dh = dpre[t] @ w.T
+            dc = dc * f[t]
+        dpre = dpre.reshape(-1, 4 * d)
         x_pre.accumulate(dpre)
-        h_prev.accumulate(dpre @ cell.recur_w.data.T)
-        c_prev.accumulate(dc_total * f)
-        cell.recur_w.accumulate(h_prev.data.T @ dpre)
+        cell.recur_w.accumulate(hs[:-1].reshape(-1, d).T @ dpre)
+        h0.accumulate(dh)
+        c0.accumulate(dc)
 
-    ad.record("lstm_step", (x_pre, h_prev, c_prev, cell.recur_w), (h_out, c_out), backward)
-    return h_out, c_out
-
-
-def run_lanes(cell: LstmCellParams, x_pre: Matrix, h: Matrix, c: Matrix) -> Matrix:
-    """Run the recurrence from (h, c) over time-major pre-activations (T*B, 4d), B = h.rows.
-
-    Returns the hidden states of every step, stacked time-major (T*B, d).
-    """
-    lanes = h.rows
-    hs = []
-    for start in range(0, x_pre.rows, lanes):
-        h, c = lstm_step(cell, ad.slice_rows(x_pre, start, start + lanes), h, c)
-        hs.append(h)
-    return ad.stack_rows(hs)
+    ad.record("lstm_step", (x_pre, h0, c0, cell.recur_w), out, backward)
+    return out
 
 
 def encode(params: EncoderParams, embeddings: Matrix, token_ids) -> tuple[Matrix, Matrix]:
@@ -187,7 +191,7 @@ def masked_attention(scores: Matrix, states: Matrix, mask: np.ndarray):
         scores.accumulate(gs.transpose(2, 0, 1).reshape(steps * lanes, -1))
         states.accumulate((w.transpose(0, 2, 1) @ g).transpose(1, 0, 2).reshape(steps * lanes, d))
 
-    ad.record("masked_attention", (scores, states), (out,), backward)
+    ad.record("masked_attention", (scores, states), out, backward)
     return out, w
 
 

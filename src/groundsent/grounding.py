@@ -93,7 +93,7 @@ def _log_exp_sum_rank(sims: Matrix) -> Matrix:
         gs[diag, diag] -= m1.sum(axis=1) + m2.sum(axis=0)
         sims.accumulate(coef * gs)
 
-    ad.record("log_exp_sum_rank", (sims,), (out,), backward)
+    ad.record("log_exp_sum_rank", (sims,), out, backward)
     return out
 
 

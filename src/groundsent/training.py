@@ -105,14 +105,6 @@ class ModelParameters:
             out[f"proj_b{i + 1}"] = self.projection.biases[i]
         return out
 
-    def recurrent_blocks(self):
-        """Yield (name, d x d block) for each gate block of the recurrent weights."""
-        for name in ("enc_fwd_recur_w", "enc_bwd_recur_w", "dec_recur_w"):
-            w = self.named()[name].data
-            d = w.shape[0]
-            for gate in range(4):
-                yield f"{name}[gate{gate}]", w[:, gate * d : (gate + 1) * d]
-
     def zero_grads(self) -> None:
         for m in self.named().values():
             m.grad = None
@@ -305,7 +297,11 @@ class TrainResult:
 
 def train_step(batch: Batch, params: ModelParameters, adam: AdamState, config: TrainConfig,
                rng: np.random.Generator | None = None) -> tuple[float, float, float]:
-    """Forward, backward, clip, Adam, and PAD-row re-zeroing for one batch."""
+    """Forward, backward, clip, Adam, and PAD-row re-zeroing for one batch.
+
+    Raises FloatingPointError, before any parameter changes, on a non-finite
+    loss or gradient.
+    """
     params.zero_grads()
     with Tape() as tape:
         loss, loss_c, loss_vg = composite_loss(config.objective, batch, params,
@@ -317,6 +313,9 @@ def train_step(batch: Batch, params: ModelParameters, adam: AdamState, config: T
     named = params.named()
     grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.data))
              for k, p in named.items()}
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise FloatingPointError(f"non-finite gradient of {name} at step {adam.step + 1}")
     grads["embeddings"][PAD, :] = 0.0  # PAD row is excluded from updates
     clip_gradients(grads, config.clip)
     adam_step(named, grads, adam, config.lr, config.beta1, config.beta2, config.adam_eps)

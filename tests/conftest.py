@@ -1,0 +1,35 @@
+"""Fixtures shared by several test modules."""
+
+import numpy as np
+import pytest
+
+from groundsent import autodiff as ad
+
+
+@pytest.fixture
+def nan_in_one_gradient(monkeypatch):
+    """Return arm(); once called, the first `lstm_step` that backward replays leaves a NaN.
+
+    The NaN goes into that op's recur_w gradient. Within a train step the
+    first replayed `lstm_step` is the decoder's, recorded last; every other
+    gradient stays finite. arm() returns the list that receives the
+    poisoned tensor.
+    """
+    poisoned = []
+
+    def arm():
+        record = ad.record
+
+        def poisoning_record(name, inputs, output, backward):
+            def poisoned_backward():
+                backward()
+                if name == "lstm_step" and not poisoned:
+                    poisoned.append(inputs[3])
+                    inputs[3].grad[0, 0] = np.nan
+
+            record(name, inputs, output, poisoned_backward)
+
+        monkeypatch.setattr(ad, "record", poisoning_record)
+        return poisoned
+
+    return arm

@@ -142,3 +142,14 @@ def test_eval_on_truncated_checkpoint_fails_cleanly(workspace, tmp_path, capsys)
     cut.write_bytes(workspace["checkpoint"].read_bytes()[:3000])
     assert main(["eval", "--checkpoint", str(cut), "--corpus", str(workspace["corpus"])]) == 1
     assert capsys.readouterr().err.strip() == f"error: {cut}: truncated or corrupt checkpoint"
+
+
+def test_train_with_non_finite_gradient_fails_cleanly(workspace, tmp_path, capsys,
+                                                      nan_in_one_gradient):
+    nan_in_one_gradient()
+    run = tmp_path / "run"
+    assert main(["train", "--corpus", str(workspace["corpus"]), "--out", str(run),
+                 "--epochs", "1", "--batch", "4", *SMALL_DIMS]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0] == "error: non-finite gradient of dec_recur_w at step 1"
+    assert not (run / "checkpoint.bin").exists()

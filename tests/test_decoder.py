@@ -6,7 +6,7 @@ import pytest
 from groundsent import autodiff as ad
 from groundsent.autodiff import Matrix, Tape, grad_check
 from groundsent.data import BOS, EOS, PAD, pad_sequences
-from groundsent.decoder import DecoderParams, caption_nll, greedy_decode, init_state
+from groundsent.decoder import DecoderParams, caption_nll, init_state
 from groundsent.encoder import LstmCellParams
 
 
@@ -122,23 +122,6 @@ def test_caption_nll_full_gradient_check():
     for theta in (dec.init_h_proj, dec.init_c_proj, dec.cell.input_w,
                   dec.cell.recur_w, dec.out_w, dec.out_b, emb):
         assert grad_check(run, theta) < 1e-4
-
-
-def test_greedy_decode_eos_dominant_stops_immediately():
-    rng = np.random.default_rng(9)
-    dec = make_decoder(6, 3, 4, rng, zero_out=True)
-    dec.out_b.data[0, EOS] = 10.0
-    emb = Matrix(rng.standard_normal((6, 3)))
-    out = greedy_decode(dec, emb, Matrix(np.zeros((1, 8))), max_len=12)
-    assert out == [EOS]
-
-
-def test_greedy_decode_deterministic():
-    rng = np.random.default_rng(10)
-    dec = make_decoder(9, 3, 4, rng)
-    emb = Matrix(rng.standard_normal((9, 3)))
-    rep = Matrix(rng.standard_normal((1, 8)))
-    assert greedy_decode(dec, emb, rep, 8) == greedy_decode(dec, emb, rep, 8)
 
 
 def test_batch_nll_is_sum_of_lane_nlls():

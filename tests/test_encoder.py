@@ -10,7 +10,7 @@ from groundsent.autodiff import Matrix, Tape, grad_check
 from groundsent.data import PAD, pad_sequences
 from groundsent.encoder import (
     AttentionOutput, EncoderParams, LstmCellParams, attend, compose, encode, encode_sentence,
-    lstm_step, project_inputs,
+    project_inputs, run_lanes,
 )
 
 
@@ -57,29 +57,29 @@ def time_major(lanes):
 
 
 # ---------------------------------------------------------------------------
-# lstm_step
+# lstm_step (run_lanes, one fused op per direction)
 
 
 def test_lstm_step_zero_weights_gives_zero_state():
     rng = np.random.default_rng(0)
     cell = make_cell(3, 4, rng, zero=True)
-    h, c = lstm_step(cell, project_inputs(cell, Matrix(rng.standard_normal((1, 3)))),
-                     Matrix(np.zeros((1, 4))), Matrix(np.zeros((1, 4))))
+    h = run_lanes(cell, project_inputs(cell, Matrix(rng.standard_normal((1, 3)))),
+                  Matrix(np.zeros((1, 4))), Matrix(np.zeros((1, 4))))
     np.testing.assert_array_equal(h.data, np.zeros((1, 4)))
-    np.testing.assert_array_equal(c.data, np.zeros((1, 4)))
 
 
 def test_lstm_step_saturated_forget_gate_carries_cell():
-    # forget bias -> +inf and input bias -> -inf drive c_t -> c_prev
+    # forget and output bias -> +inf, input bias -> -inf: c_t -> c_prev, so h_t -> tanh(c_prev)
     d = 3
     rng = np.random.default_rng(1)
     cell = make_cell(2, d, rng, zero=True)
     cell.bias.data[0, :d] = -30.0          # input gate ~ 0
     cell.bias.data[0, d : 2 * d] = 30.0    # forget gate ~ 1
+    cell.bias.data[0, 3 * d :] = 30.0      # output gate ~ 1
     c_prev = Matrix(rng.standard_normal((1, d)))
-    _, c = lstm_step(cell, project_inputs(cell, Matrix(rng.standard_normal((1, 2)))),
-                     Matrix(rng.standard_normal((1, d))), c_prev)
-    np.testing.assert_allclose(c.data, c_prev.data, atol=1e-9)
+    h = run_lanes(cell, project_inputs(cell, Matrix(rng.standard_normal((1, 2)))),
+                  Matrix(rng.standard_normal((1, d))), c_prev)
+    np.testing.assert_allclose(h.data, np.tanh(c_prev.data), atol=1e-9)
 
 
 def test_lstm_step_extreme_preactivations_stay_finite_without_warnings():
@@ -96,31 +96,29 @@ def test_lstm_step_extreme_preactivations_stay_finite_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with Tape() as tape:
-            h, c = lstm_step(cell, project_inputs(cell, x), h0, c0)
-            tape.backward(ad.sum_all(ad.add(h, c)))
-    # lane 0: all gates open and g = 1, so c = 0.5 + 1; lane 1: all gates shut
-    np.testing.assert_array_equal(c.data, [[1.5, 1.5], [0.0, 0.0]])
+            h = run_lanes(cell, project_inputs(cell, x), h0, c0)
+            tape.backward(ad.sum_all(h))
+    # lane 0: all gates open and g = 1, so c = 0.5 + 1; lane 1: all gates shut, so c = 0
     np.testing.assert_allclose(h.data, [[np.tanh(1.5)] * d, [0.0, 0.0]], atol=0, rtol=1e-15)
     for m in (x, h0, c0, cell.input_w, cell.recur_w, cell.bias):
         assert np.all(np.isfinite(m.grad))
 
 
 def test_lstm_step_three_step_chain_matches_finite_differences():
+    # 3 steps of 2 lanes from a nonzero initial state, read out at every step
     rng = np.random.default_rng(2)
-    d_in, d = 3, 4
+    d_in, d, lanes = 3, 4, 2
     cell = make_cell(d_in, d, rng)
-    xs_data = rng.standard_normal((3, d_in))
-    readout = Matrix(rng.standard_normal((1, d)))
+    xs_data = rng.standard_normal((3 * lanes, d_in))
+    h0 = Matrix(0.5 * rng.standard_normal((lanes, d)))
+    c0 = Matrix(0.5 * rng.standard_normal((lanes, d)))
+    readout = Matrix(rng.standard_normal((3 * lanes, d)))
 
     def run(_):
-        x_pre = project_inputs(cell, Matrix(xs_data))
-        h = Matrix(np.zeros((1, d)))
-        c = Matrix(np.zeros((1, d)))
-        for t in range(3):
-            h, c = lstm_step(cell, ad.slice_rows(x_pre, t, t + 1), h, c)
-        return ad.sum_all(ad.mul(readout, h))
+        states = run_lanes(cell, project_inputs(cell, Matrix(xs_data)), h0, c0)
+        return ad.sum_all(ad.mul(readout, states))
 
-    for theta in (cell.input_w, cell.recur_w, cell.bias):
+    for theta in (cell.input_w, cell.recur_w, cell.bias, h0, c0):
         assert grad_check(run, theta) < 1e-4
 
 
@@ -132,12 +130,10 @@ def test_lstm_step_input_gradients():
     x = Matrix(rng.standard_normal((1, 3)))
 
     def through_x(t):
-        h, c = lstm_step(cell, project_inputs(cell, t), h0, c0)
-        return ad.sum_all(ad.add(h, c))
+        return ad.sum_all(run_lanes(cell, project_inputs(cell, t), h0, c0))
 
     def through_c(t):
-        h, c = lstm_step(cell, project_inputs(cell, x), h0, t)
-        return ad.sum_all(ad.add(h, c))
+        return ad.sum_all(run_lanes(cell, project_inputs(cell, x), h0, t))
 
     assert grad_check(through_x, x) < 1e-6
     assert grad_check(through_c, c0) < 1e-6

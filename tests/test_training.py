@@ -12,7 +12,7 @@ from groundsent.autodiff import Matrix, Tape
 from groundsent.data import PAD, build_vocab, gen_synthetic, make_batches, numericalize
 from groundsent.training import (
     AdamState, ModelParameters, TrainConfig, adam_step, assemble_params, clip_gradients,
-    composite_loss, init_params, train,
+    composite_loss, init_params, train, train_step,
 )
 
 TINY = dict(d_cell=4, d_a=3, n_a=2, d_e=4, d_img=5, batch_size=3, epochs=1, seed=0)
@@ -34,10 +34,13 @@ def tiny_setup(objective="cap2all", n=6, seed=0):
 
 def test_recurrent_blocks_are_orthogonal():
     config, params, _, _, _ = tiny_setup()
-    for name, block in params.recurrent_blocks():
-        gram = block.T @ block
-        err = np.linalg.norm(gram - np.eye(block.shape[0]))
-        assert err < 1e-5, f"{name}: {err}"
+    d = config.d_cell
+    for name in ("enc_fwd_recur_w", "enc_bwd_recur_w", "dec_recur_w"):
+        w = params.named()[name].data
+        for gate in range(4):
+            block = w[:, gate * d : (gate + 1) * d]
+            err = np.linalg.norm(block.T @ block - np.eye(d))
+            assert err < 1e-5, f"{name}[gate{gate}]: {err}"
 
 
 def test_xavier_bounds_respected():
@@ -233,6 +236,36 @@ def test_first_epoch_beats_uniform_baseline():
     result = train(config, corpus)
     per_token = mean_token_nll(result.params, numericalize(corpus, result.vocab))
     assert per_token < np.log(result.vocab.size)
+
+
+def test_non_finite_gradient_stops_before_any_update(nan_in_one_gradient):
+    config, params, batch, _, _ = tiny_setup()
+    adam = AdamState.for_params(params)
+    before = {k: p.data.copy() for k, p in params.named().items()}
+    poisoned = nan_in_one_gradient()
+    with pytest.raises(FloatingPointError, match="non-finite gradient of dec_recur_w at step 1"):
+        train_step(batch, params, adam, config, rng=np.random.default_rng(0))
+    assert poisoned == [params.decoder.cell.recur_w]
+    for name, tensor in params.named().items():
+        np.testing.assert_array_equal(tensor.data, before[name], err_msg=name)
+    assert adam.step == 0
+    assert all(not m.any() for m in adam.m.values())
+    assert all(not v.any() for v in adam.v.values())
+
+
+def test_non_finite_gradient_writes_no_checkpoint_for_that_epoch(tmp_path, nan_in_one_gradient):
+    config = TrainConfig(objective="cap2all", **{**TINY, "epochs": 1})
+    corpus = gen_synthetic(6, 8, config.d_img, seed=4)
+    first = train(config, corpus, out_dir=tmp_path)
+    saved = Path(first.checkpoint_path).read_bytes()
+    metrics = (tmp_path / "metrics.jsonl").read_text()
+
+    nan_in_one_gradient()
+    longer = TrainConfig(objective="cap2all", **{**TINY, "epochs": 2})
+    with pytest.raises(FloatingPointError, match="non-finite gradient of dec_recur_w"):
+        train(longer, corpus, out_dir=tmp_path, resume_from=first.checkpoint_path)
+    assert Path(first.checkpoint_path).read_bytes() == saved
+    assert (tmp_path / "metrics.jsonl").read_text() == metrics
 
 
 # ---------------------------------------------------------------------------
