@@ -77,10 +77,8 @@ def save(path, params: ModelParameters, adam: AdamState, config: TrainConfig,
         "vocab": vocab.content_tokens(),
     }
     tensors: dict[str, np.ndarray] = {k: p.data for k, p in params.named().items()}
-    for k, arr in adam.m.items():
-        tensors[f"adam_m/{k}"] = arr
-    for k, arr in adam.v.items():
-        tensors[f"adam_v/{k}"] = arr
+    for kind, moments in (("m", adam.m), ("v", adam.v)):
+        tensors.update({f"adam_{kind}/{k}": arr for k, arr in moments.items()})
 
     blob = _canonical_json(meta)
     tmp = f"{os.fspath(path)}.tmp"
@@ -102,7 +100,8 @@ def save(path, params: ModelParameters, adam: AdamState, config: TrainConfig,
 
 
 def load(path) -> tuple[ModelParameters, AdamState, TrainConfig, Vocabulary, int]:
-    """Read a checkpoint; a file cut short or with bytes past its last tensor raises ValueError."""
+    """Read a checkpoint; a truncated, padded or inconsistent file raises ValueError."""
+    corrupt = ValueError(f"{path}: truncated or corrupt checkpoint")
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
@@ -118,19 +117,23 @@ def load(path) -> tuple[ModelParameters, AdamState, TrainConfig, Vocabulary, int
             if fh.read(1):
                 raise EOFError
         except (EOFError, UnicodeDecodeError, json.JSONDecodeError):
-            raise ValueError(f"{path}: truncated or corrupt checkpoint") from None
+            raise corrupt from None
 
-    config = TrainConfig(**meta["config"])
+    try:
+        config = TrainConfig(**meta["config"])
+        step, epoch, vocab = int(meta["step"]), int(meta["epoch"]), Vocabulary(meta["vocab"])
+    except (KeyError, TypeError):
+        raise corrupt from None
     if meta.get("config_hash") != config_hash(config):
         raise ValueError(f"{path}: config hash mismatch")
-    vocab = Vocabulary(meta["vocab"])
 
     params = assemble_params(config, vocab.size,
                              {k: Matrix(v) for k, v in tensors.items()
                               if not k.startswith("adam_")})
-    adam = AdamState(
-        step=int(meta["step"]),
-        m={k: tensors[f"adam_m/{k}"] for k in params.named()},
-        v={k: tensors[f"adam_v/{k}"] for k in params.named()},
-    )
-    return params, adam, config, vocab, int(meta["epoch"])
+    names = params.named()
+    moments = {f"adam_{kind}/{k}" for kind in "mv" for k in names}
+    if moments != {k for k in tensors if k.startswith("adam_")}:
+        raise corrupt  # an Adam tensor missing or unknown
+    adam = AdamState(step=step, m={k: tensors[f"adam_m/{k}"] for k in names},
+                     v={k: tensors[f"adam_v/{k}"] for k in names})
+    return params, adam, config, vocab, epoch

@@ -142,7 +142,7 @@ def _cmd_gradcheck(args) -> int:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         failures += not r.passed
-        print(f"{status}  {r.name:24s} max rel err {r.max_rel_error:.3e}")
+        print(f"{status}  {r.name:25s} max rel err {r.max_rel_error:.3e}")
     print(f"{len(results) - failures}/{len(results)} checks passed (tolerance {TOLERANCE:g})")
     return 0 if failures == 0 else 1
 

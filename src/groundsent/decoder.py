@@ -6,9 +6,9 @@ Lane layout as in the encoder: the (B, L) targets, right-padded with PAD,
 are read time-major, so row t*B + b of the step inputs, states and logits
 is step t of lane b. All input rows are projected by one matmul, the
 recurrence runs as one fused op (`encoder.run_lanes`) from the projected
-initial state, and all states reach the vocabulary through one logits
-matmul. Steps whose target is PAD are masked out of the loss, so padding
-adds nothing to it and gets no gradient.
+initial state, and all states reach the vocabulary through one fused
+logits-and-NLL op (`cross_entropy_rows`). Steps whose target is PAD are
+masked out of the loss, so padding adds nothing to it and gets no gradient.
 """
 
 from __future__ import annotations
@@ -43,27 +43,34 @@ def init_state(params: DecoderParams, sentence_rep: Matrix) -> tuple[Matrix, Mat
     return h0, c0
 
 
-def cross_entropy_rows(logits: Matrix, targets: np.ndarray, keep: np.ndarray) -> Matrix:
-    """Sum over kept rows of -log softmax(logits)[row, target], as 1x1.
+def cross_entropy_rows(states: Matrix, out_w: Matrix, out_b: Matrix, targets: np.ndarray,
+                       keep: np.ndarray) -> Matrix:
+    """Sum over kept rows of -log softmax(states @ out_w.T + out_b)[row, target], as 1x1.
 
-    Fused stable log-softmax + NLL; backward is (softmax - onehot) on kept
-    rows and exactly zero elsewhere.
+    The vocabulary head as one op. Forward fills one (rows, V) buffer in place
+    with the logits, then their max-shifted values, then the softmax; backward
+    turns it in place into g * (softmax - onehot), zero on dropped rows, and
+    accumulates that into states, out_w and out_b.
     """
-    z = logits.data
-    shifted = z - z.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - logsumexp
+    z = states.data @ out_w.data.T
+    z += out_b.data
+    z -= z.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
     rows = np.arange(z.shape[0])
-    picked = logp[rows, targets]
-    out = Matrix._wrap(np.array([[-picked[keep].sum()]]))
+    out = Matrix._wrap(np.array([[(logsumexp[:, 0] - z[rows, targets])[keep].sum()]]))
+    z -= logsumexp
+    soft = np.exp(z, out=z)
 
     def backward():
-        soft = np.exp(logp)
-        soft[rows, targets] -= 1.0
-        soft[~keep] = 0.0
-        logits.accumulate(out.grad[0, 0] * soft)
+        g = soft  # becomes the logits gradient, in place
+        g[rows, targets] -= 1.0
+        g[~keep] = 0.0
+        g *= out.grad[0, 0]
+        states.accumulate(g @ out_w.data)
+        out_w.accumulate(g.T @ states.data)
+        out_b.accumulate(g.sum(axis=0, keepdims=True))
 
-    ad.record("cross_entropy_rows", (logits,), out, backward)
+    ad.record("cross_entropy_rows", (states, out_w, out_b), out, backward)
     return out
 
 
@@ -84,6 +91,5 @@ def caption_nll(params: DecoderParams, embeddings: Matrix, sentence_reps: Matrix
     h, c = init_state(params, sentence_reps)
     xs = ad.select_rows(embeddings, tgt[:, :-1].T.reshape(-1))
     states = run_lanes(params.cell, project_inputs(params.cell, xs), h, c)
-    logits = ad.add_rowvec(ad.matmul(states, ad.transpose(params.out_w)), params.out_b)
     targets = tgt[:, 1:].T.reshape(-1)
-    return cross_entropy_rows(logits, targets, targets != pad_id)
+    return cross_entropy_rows(states, params.out_w, params.out_b, targets, targets != pad_id)

@@ -11,7 +11,7 @@ chunk only through rounding (B = 1 and B > 1 run different BLAS kernels).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,14 +38,9 @@ class RetrievalReport:
     pool_size: int
 
     def to_dict(self) -> dict:
-        return {
-            "direction": self.direction,
-            "recall_at_1": self.recall_at_1,
-            "recall_at_5": self.recall_at_5,
-            "recall_at_10": self.recall_at_10,
-            "median_rank": self.median_rank,
-            "n": self.pool_size,
-        }
+        out = asdict(self)
+        out["n"] = out.pop("pool_size")
+        return out
 
 
 @dataclass

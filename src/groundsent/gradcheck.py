@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Matrix, Tape, grad_check
 from .data import Corpus, CaptionRecord, build_vocab, make_batches, numericalize
-from .decoder import caption_nll
+from .decoder import caption_nll, cross_entropy_rows
 from .encoder import attend, encode_sentence, masked_attention, project_inputs, run_lanes
 from .grounding import grounding_loss, ranking_loss
 from .training import TrainConfig, composite_loss, init_params
@@ -80,6 +80,10 @@ def _primitive_checks() -> list[tuple[str, callable]]:
         return rng.permutation(np.prod(shape)).reshape(shape) + 0.1 * rng.standard_normal(shape)
 
     lanes = np.array([[True] * 4, [True] * 2 + [False] * 2])  # 2 lanes of 4 and 2 steps
+
+    def head(s, w, b):  # 4 rows over a vocabulary of 5; row 2 is dropped
+        return cross_entropy_rows(s, w, b, np.array([1, 4, 0, 1]), np.array([1, 1, 0, 1], bool))
+
     return [
         ("matmul/a", check(ad.matmul, (3, 4), (4, 2))),
         ("matmul/b", check(ad.matmul, (3, 4), (4, 2), wrt=1)),
@@ -98,6 +102,9 @@ def _primitive_checks() -> list[tuple[str, callable]]:
         ("masked_attention/states",
          check(lambda s, h: masked_attention(s, h, lanes)[0], (4 * 2, 3), (4 * 2, 2), wrt=1)),
         ("add_rowvec", check(ad.add_rowvec, (3, 4), (1, 4), wrt=1)),
+        ("cross_entropy_rows/states", check(head, (4, 3), (5, 3), (1, 5))),
+        ("cross_entropy_rows/out_w", check(head, (4, 3), (5, 3), (1, 5), wrt=1)),
+        ("cross_entropy_rows/out_b", check(head, (4, 3), (5, 3), (1, 5), wrt=2)),
         ("normalize_rows", check(ad.normalize_rows, (3, 4), draw=_away_from_zero)),
     ]
 

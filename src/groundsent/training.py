@@ -30,6 +30,9 @@ OBJECTIVES = ("cap2cap", "cap2img", "cap2all")
 # SeedSequence stream tags, so the independent RNG uses never collide.
 _SEED_INIT, _SEED_DROPOUT = 11, 23
 
+# Entries per Adam block: the block's six arrays (about 1.5 MB) stay in a core's cache.
+ADAM_BLOCK = 1 << 15
+
 
 @dataclass
 class TrainConfig:
@@ -252,20 +255,23 @@ class AdamState:
 
 def adam_step(tensors: dict[str, Matrix], grads: dict[str, np.ndarray], state: AdamState,
               lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update over all tensors; increments the shared step."""
+    """One bias-corrected Adam update, in place a block of rows at a time; increments the step."""
     state.step += 1
-    t = state.step
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1, bc2 = 1.0 - beta1**state.step, 1.0 - beta2**state.step
+    scratch_a, scratch_b = np.empty((2, max([ADAM_BLOCK] + [t.cols for t in tensors.values()])))
     for name, tensor in tensors.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        tensor.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        step = max(1, ADAM_BLOCK // tensor.cols)
+        for rows in (slice(i, i + step) for i in range(0, tensor.rows, step)):
+            g, m, v = grads[name][rows], state.m[name][rows], state.v[name][rows]
+            a, b = scratch_a[: g.size].reshape(g.shape), scratch_b[: g.size].reshape(g.shape)
+            m *= beta1
+            m += np.multiply(g, 1.0 - beta1, out=a)
+            v *= beta2
+            v += np.multiply(np.multiply(g, 1.0 - beta2, out=a), g, out=a)
+            np.sqrt(np.divide(v, bc2, out=a), out=a)
+            a += eps
+            np.multiply(np.divide(m, bc1, out=b), lr, out=b)
+            tensor.data[rows] -= np.divide(b, a, out=b)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +288,7 @@ class EpochMetrics:
     wall_ms: float
 
     def to_record(self) -> dict:
-        return {"epoch": self.epoch, "objective": self.objective, "loss": self.loss,
-                "loss_c": self.loss_c, "loss_vg": self.loss_vg, "wall_ms": self.wall_ms}
+        return asdict(self)
 
 
 @dataclass

@@ -153,3 +153,17 @@ def test_train_with_non_finite_gradient_fails_cleanly(workspace, tmp_path, capsy
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0] == "error: non-finite gradient of dec_recur_w at step 1"
     assert not (run / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("old, new", [(b'"step"', b'"stdp"'), (b'"epoch"', b'"epocx"'),
+                                      (b'"dropout"', b'"dropoux"'),
+                                      (b"adam_m/dec_bias", b"adam_m/dec_biaz")],
+                         ids=["step", "epoch", "config-key", "adam-tensor"])
+def test_checkpoint_with_wrong_metadata_fails_cleanly(workspace, tmp_path, capsys, old, new):
+    data = workspace["checkpoint"].read_bytes()
+    assert data.count(old) == 1
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(data.replace(old, new))
+    assert main(["salience", "--checkpoint", str(bad), "--sentence", "obj01 vis00"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {bad}: truncated or corrupt checkpoint"]

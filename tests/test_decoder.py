@@ -1,12 +1,14 @@
 """Decoder language-model tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from groundsent import autodiff as ad
 from groundsent.autodiff import Matrix, Tape, grad_check
 from groundsent.data import BOS, EOS, PAD, pad_sequences
-from groundsent.decoder import DecoderParams, caption_nll, init_state
+from groundsent.decoder import DecoderParams, caption_nll, cross_entropy_rows, init_state
 from groundsent.encoder import LstmCellParams
 
 
@@ -135,3 +137,38 @@ def test_batch_nll_is_sum_of_lane_nlls():
     ids, _ = pad_sequences([np.array(t) for t in tgts])
     batch = caption_nll(dec, emb, Matrix(reps), ids).item()
     assert batch == pytest.approx(lanes, rel=1e-12, abs=0)
+
+
+def test_head_on_extreme_logits_is_finite_and_matches_log_softmax():
+    rng = np.random.default_rng(12)
+    states = Matrix(rng.standard_normal((4, 3)))
+    out_w = Matrix(rng.standard_normal((6, 3)))
+    out_b = Matrix(1e4 * rng.choice([-1.0, 1.0], size=(1, 6)))  # logits near +-1e4
+    targets = np.array([0, 5, 2, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with Tape() as tape:
+            loss = cross_entropy_rows(states, out_w, out_b, targets, np.ones(4, bool))
+            tape.backward(loss)
+    z = states.data @ out_w.data.T + out_b.data
+    shifted = z - z.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    assert np.isfinite(loss.item())
+    assert loss.item() == pytest.approx(-logp[np.arange(4), targets].sum(), rel=1e-12, abs=0)
+    for m in (states, out_w, out_b):
+        assert np.isfinite(m.grad).all()
+
+
+def test_head_dropped_row_gets_exactly_zero_states_gradient():
+    rng = np.random.default_rng(13)
+    states = Matrix(rng.standard_normal((3, 4)))
+    out_w = Matrix(rng.standard_normal((5, 4)))
+    out_b = Matrix(rng.standard_normal((1, 5)))
+    keep = np.array([True, False, True])
+    with Tape() as tape:
+        loss = cross_entropy_rows(states, out_w, out_b, np.array([1, 2, 4]), keep)
+        tape.backward(loss)
+    np.testing.assert_array_equal(states.grad[1], np.zeros(4))
+    assert np.abs(states.grad[keep]).min() > 0
+    other_target = cross_entropy_rows(states, out_w, out_b, np.array([1, 0, 4]), keep)
+    assert other_target.item() == loss.item()

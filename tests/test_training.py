@@ -8,6 +8,7 @@ import pytest
 
 from groundsent import autodiff as ad
 from groundsent import checkpoint as ckpt
+from groundsent import training
 from groundsent.autodiff import Matrix, Tape
 from groundsent.data import PAD, build_vocab, gen_synthetic, make_batches, numericalize
 from groundsent.training import (
@@ -129,6 +130,42 @@ def test_adam_converges_on_quadratic():
             tape.backward(loss)
         adam_step({"t": theta}, {"t": theta.grad}, state, lr=0.1)
     assert loss_value < 1e-6
+
+
+@pytest.mark.parametrize("block", [None, 8])  # 8: several blocks per tensor, one row wider
+def test_adam_step_matches_reference_update_bit_for_bit(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(training, "ADAM_BLOCK", block)
+
+    # The plain update, one temporary array per operation; adam_step must agree bit for bit.
+    def reference_update(tensors, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        bc1, bc2 = 1.0 - beta1**t, 1.0 - beta2**t
+        for name, data in tensors.items():
+            g = grads[name]
+            m[name] *= beta1
+            m[name] += (1.0 - beta1) * g
+            v[name] *= beta2
+            v[name] += (1.0 - beta2) * g * g
+            data -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+
+    rng = np.random.default_rng(14)
+    shapes = {"big": (7, 5), "wide": (1, 12), "mid": (3, 4), "small": (2, 2)}  # largest first
+    start = {k: rng.standard_normal(s) for k, s in shapes.items()}
+    tensors = {k: Matrix(a.copy()) for k, a in start.items()}
+    state = AdamState(m={k: np.zeros(s) for k, s in shapes.items()},
+                      v={k: np.zeros(s) for k, s in shapes.items()})
+    ref = {k: a.copy() for k, a in start.items()}
+    ref_m = {k: np.zeros(s) for k, s in shapes.items()}
+    ref_v = {k: np.zeros(s) for k, s in shapes.items()}
+    for t in range(1, 4):
+        grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        adam_step(tensors, grads, state, lr=0.01)
+        reference_update(ref, grads, ref_m, ref_v, t, lr=0.01)
+    assert state.step == 3
+    for k in shapes:
+        np.testing.assert_array_equal(tensors[k].data, ref[k])
+        np.testing.assert_array_equal(state.m[k], ref_m[k])
+        np.testing.assert_array_equal(state.v[k], ref_v[k])
 
 
 # ---------------------------------------------------------------------------
