@@ -337,34 +337,34 @@ def normalize_rows(x: Matrix) -> Matrix:
 # verification oracle
 
 
-def grad_check(f, theta: Matrix, eps: float = 1e-5) -> float:
+def grad_check(f, theta: Matrix, eps: float = 1e-5, directions=None) -> float:
     """Compare f's analytic gradient at theta against central differences.
 
     f must map theta to a scalar (1x1) Matrix and be deterministic. Returns
-    the maximum over entries of |analytic - numeric| / max(1e-12,
-    |analytic| + |numeric|). f is evaluated without an active tape for the
-    perturbed points, so only the analytic pass records.
+    the maximum over directions u (arrays shaped like theta; None means
+    every unit vector, the entrywise check) of |a - n| / max(1e-12, |a| +
+    |n|), with a = <grad, u> and n the central difference along u. theta.data
+    is perturbed in place and restored. f is evaluated without an active tape
+    for the perturbed points, so only the analytic pass records.
     """
     theta.grad = None
     with Tape() as tape:
-        out = f(theta)
-        if out.shape != (1, 1):
-            raise ShapeError(f"grad_check: f must return a scalar, got {out.shape}")
-        tape.backward(out)
-    analytic = np.zeros_like(theta.data) if theta.grad is None else theta.grad.copy()
+        tape.backward(f(theta))  # raises ShapeError unless f returns a scalar
+    analytic = np.zeros_like(theta.data) if theta.grad is None else theta.grad
     theta.grad = None
+    if directions is None:
+        directions = np.eye(theta.data.size).reshape(-1, *theta.shape)
 
-    numeric = np.zeros_like(theta.data)
-    flat = theta.data.reshape(-1)
-    num_flat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = f(theta).item()
-        flat[i] = orig - eps
-        fm = f(theta).item()
-        flat[i] = orig
-        num_flat[i] = (fp - fm) / (2.0 * eps)
-
-    rel = np.abs(analytic - numeric) / np.maximum(1e-12, np.abs(analytic) + np.abs(numeric))
-    return float(rel.max()) if rel.size else 0.0
+    original = theta.data.copy()
+    errors = []
+    try:
+        for u in directions:
+            np.add(original, eps * u, out=theta.data)
+            fp = f(theta).item()
+            np.add(original, -eps * u, out=theta.data)
+            fm = f(theta).item()
+            a, n = float((analytic * u).sum()), (fp - fm) / (2.0 * eps)
+            errors.append(abs(a - n) / max(1e-12, abs(a) + abs(n)))
+    finally:
+        theta.data[...] = original
+    return float(np.max(errors)) if errors else 0.0

@@ -26,9 +26,8 @@ import struct
 
 import numpy as np
 
-from .autodiff import Matrix
 from .data import Vocabulary
-from .training import AdamState, ModelParameters, TrainConfig, assemble_params
+from .training import AdamState, ModelParameters, TrainConfig, init_params
 
 MAGIC = b"GSCP"
 VERSION = 1
@@ -62,8 +61,16 @@ def _read_tensor(fh, size: int) -> tuple[str, np.ndarray]:
     (name_len,) = struct.unpack("<H", _read_exact(fh, 2, size))
     name = _read_exact(fh, name_len, size).decode("utf-8")
     rows, cols = struct.unpack("<II", _read_exact(fh, 8, size))
-    data = np.frombuffer(_read_exact(fh, rows * cols * 8, size), dtype="<f8").reshape(rows, cols)
-    return name, data.copy()
+    data = _read_exact(fh, rows * cols * 8, size)
+    return name, np.frombuffer(data, dtype="<f8").reshape(rows, cols)
+
+
+def _arrays(params: ModelParameters, adam: AdamState) -> dict[str, np.ndarray]:
+    """Every array a checkpoint holds, by its name in the file."""
+    arrays = dict(params.values)
+    for kind, moments in (("m", adam.m), ("v", adam.v)):
+        arrays.update({f"adam_{kind}/{k}": view for k, view in moments.items()})
+    return arrays
 
 
 def save(path, params: ModelParameters, adam: AdamState, config: TrainConfig,
@@ -76,10 +83,7 @@ def save(path, params: ModelParameters, adam: AdamState, config: TrainConfig,
         "step": adam.step,
         "vocab": vocab.content_tokens(),
     }
-    tensors: dict[str, np.ndarray] = {k: p.data for k, p in params.named().items()}
-    for kind, moments in (("m", adam.m), ("v", adam.v)):
-        tensors.update({f"adam_{kind}/{k}": arr for k, arr in moments.items()})
-
+    tensors = _arrays(params, adam)
     blob = _canonical_json(meta)
     tmp = f"{os.fspath(path)}.tmp"
     try:
@@ -127,13 +131,12 @@ def load(path) -> tuple[ModelParameters, AdamState, TrainConfig, Vocabulary, int
     if meta.get("config_hash") != config_hash(config):
         raise ValueError(f"{path}: config hash mismatch")
 
-    params = assemble_params(config, vocab.size,
-                             {k: Matrix(v) for k, v in tensors.items()
-                              if not k.startswith("adam_")})
-    names = params.named()
-    moments = {f"adam_{kind}/{k}" for kind in "mv" for k in names}
-    if moments != {k for k in tensors if k.startswith("adam_")}:
-        raise corrupt  # an Adam tensor missing or unknown
-    adam = AdamState(step=step, m={k: tensors[f"adam_m/{k}"] for k in names},
-                     v={k: tensors[f"adam_v/{k}"] for k in names})
+    params = init_params(config, vocab.size)
+    adam = AdamState.for_params(params)
+    adam.step = step
+    views = _arrays(params, adam)
+    if {k: t.shape for k, t in tensors.items()} != {k: view.shape for k, view in views.items()}:
+        raise corrupt  # a tensor missing, unknown or of the wrong shape
+    for name, view in views.items():
+        view[...] = tensors[name]
     return params, adam, config, vocab, epoch

@@ -6,8 +6,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import checkpoint as ckpt
 from .data import Corpus, build_vocab, gen_synthetic, load_embeddings, numericalize
 from .evaluation import embed_lines, retrieval_eval, salience

@@ -5,11 +5,11 @@ small dimensions (d_cell=4, d_a=3, n_a=2, d_e=4, d_img=5, B=3, T<=5) and
 reports the max relative error.
 
 Primitive and composite ops are checked entrywise at 10 random points.
-The three full objectives are checked per tensor with directional central
-differences (one seeded random direction plus the gradient direction):
-a whole-objective loss is large enough that entries whose true gradient
-is ~1e-8 sit below what double-precision differencing can resolve, while
-a directional derivative keeps the comparison well conditioned without
+The three full objectives are checked per tensor by the same `grad_check`
+along two directions, one seeded random and the gradient's: a
+whole-objective loss is large enough that entries whose true gradient is
+~1e-8 sit below what double-precision differencing can resolve, while a
+directional derivative keeps the comparison well conditioned without
 weakening what is verified. All model-level checks run at a generic
 point (small random perturbation of every tensor) so structured zeros
 from the crafted initialization cannot park the check on a kink of the
@@ -124,23 +124,6 @@ def _short_corpus(seed: int, d_img: int) -> Corpus:
     return Corpus(d_img=d_img, records=records)
 
 
-def _directional_error(f, theta: Matrix, direction: np.ndarray, eps: float = 1e-5) -> float:
-    """Central-difference check of f along one direction in theta."""
-    theta.grad = None
-    with Tape() as tape:
-        out = f()
-        tape.backward(out)
-    analytic = 0.0 if theta.grad is None else float((theta.grad * direction).sum())
-    original = theta.data.copy()
-    theta.data = original + eps * direction
-    fp = f().item()
-    theta.data = original - eps * direction
-    fm = f().item()
-    theta.data = original
-    numeric = (fp - fm) / (2.0 * eps)
-    return abs(analytic - numeric) / max(1e-12, abs(analytic) + abs(numeric))
-
-
 def _model_checks(seed: int) -> list[CheckResult]:
     """Composite ops and the three full objectives at tiny dimensions."""
     config = TrainConfig(objective="cap2all", d_cell=4, d_a=3, n_a=2, d_e=4,
@@ -151,8 +134,7 @@ def _model_checks(seed: int) -> list[CheckResult]:
     batch = make_batches(samples, config.batch_size, seed=seed)[0]
     params = init_params(config, vocab.size)
     rng = np.random.default_rng(seed + 1000)
-    for tensor in params.named().values():  # generic point, off kinks
-        tensor.data += rng.uniform(-0.05, 0.05, size=tensor.data.shape)
+    params.values.vector += rng.uniform(-0.05, 0.05, size=params.values.vector.size)  # off kinks
 
     results = []
 
@@ -221,7 +203,7 @@ def _model_checks(seed: int) -> list[CheckResult]:
     results.append(CheckResult("grounding_loss", worst))
 
     for objective in ("cap2cap", "cap2img", "cap2all"):
-        def objective_fn(o=objective):
+        def objective_fn(_, o=objective):
             loss, _, _ = composite_loss(o, batch, params, train_mode=False)
             return loss
 
@@ -229,14 +211,12 @@ def _model_checks(seed: int) -> list[CheckResult]:
         worst = 0.0
         for theta in params.named().values():
             random_dir = drng.standard_normal(theta.data.shape)
-            random_dir /= np.linalg.norm(random_dir)
-            worst = max(worst, _directional_error(objective_fn, theta, random_dir))
             theta.grad = None
             with Tape() as tape:
-                tape.backward(objective_fn())
-            if theta.grad is not None and np.linalg.norm(theta.grad) > 0:
-                grad_dir = theta.grad / np.linalg.norm(theta.grad)
-                worst = max(worst, _directional_error(objective_fn, theta, grad_dir))
+                tape.backward(objective_fn(theta))
+            directions = [u / np.linalg.norm(u) for u in (random_dir, theta.grad)
+                          if u is not None and np.linalg.norm(u) > 0]
+            worst = max(worst, grad_check(objective_fn, theta, directions=directions))
         results.append(CheckResult(f"objective/{objective}", worst))
 
     return results

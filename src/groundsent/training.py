@@ -1,11 +1,12 @@
 """Parameter initialization, composite objectives, Adam, and the training loop.
 
 Recurrent square blocks are initialized orthogonally (sign-corrected QR of
-seeded Gaussians); everything else uses xavier-uniform bounds. Gradients
-are value-clipped elementwise before each Adam step. Runs are fully
-determined by (config, seed, corpus): shuffling and dropout streams are
-re-derived per epoch from the seed, so resuming from an epoch checkpoint
-reproduces the uninterrupted trajectory.
+seeded Gaussians); everything else uses xavier-uniform bounds. Parameters,
+gradients and Adam's moments are each one vector (`FlatTensors`), checked,
+clipped elementwise and updated in one pass. Runs are fully determined by
+(config, seed, corpus): shuffling and dropout streams are re-derived per
+epoch from the seed, so resuming from an epoch checkpoint reproduces the
+uninterrupted trajectory.
 """
 
 from __future__ import annotations
@@ -74,14 +75,35 @@ class TrainConfig:
         return asdict(self)
 
 
+class FlatTensors(dict):
+    """Name -> view of `vector`, laid out like `like`; np.zeros: unwritten pages stay unmapped."""
+
+    def __init__(self, like: dict[str, np.ndarray]):
+        super().__init__()
+        self.vector = np.zeros(sum(a.size for a in like.values()))
+        start = 0
+        for name, a in like.items():
+            self[name] = self.vector[start : start + a.size].reshape(a.shape)
+            start += a.size
+
+
 @dataclass
 class ModelParameters:
-    """Every trainable tensor, grouped by sub-model."""
+    """Every trainable tensor, grouped by sub-model; each .data is a view of vector `values`."""
 
     embeddings: Matrix
     encoder: EncoderParams
     decoder: DecoderParams
     projection: ProjectionParams
+    values: FlatTensors = field(init=False, repr=False)
+    grads: FlatTensors | None = field(init=False, default=None, repr=False)
+    next_grads: FlatTensors | None = field(init=False, default=None, repr=False)
+
+    def __post_init__(self):
+        self.values = FlatTensors({name: m.data for name, m in self.named().items()})
+        for name, m in self.named().items():
+            self.values[name][...] = m.data
+            m.data = self.values[name]
 
     def named(self) -> dict[str, Matrix]:
         """Flat name -> tensor view; each trainable tensor appears exactly once."""
@@ -109,8 +131,10 @@ class ModelParameters:
         return out
 
     def zero_grads(self) -> None:
-        for m in self.named().values():
-            m.grad = None
+        """Point each .grad at its view of `grads`: `next_grads` if set, else a new zero vector."""
+        self.grads, self.next_grads = self.next_grads or FlatTensors(self.values), None
+        for name, m in self.named().items():
+            m.grad = self.grads[name]
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -177,24 +201,6 @@ def init_params(config: TrainConfig, vocab_size: int,
                            projection=projection)
 
 
-def assemble_params(config: TrainConfig, vocab_size: int,
-                    tensors: dict[str, Matrix]) -> ModelParameters:
-    """Rebuild a ModelParameters from named tensors (checkpoint loading)."""
-    skeleton = init_params(config, vocab_size)
-    expected = skeleton.named()
-    if set(tensors) != set(expected):
-        missing = set(expected) - set(tensors)
-        extra = set(tensors) - set(expected)
-        raise ValueError(f"tensor set mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-    for name, placeholder in expected.items():
-        if tensors[name].shape != placeholder.shape:
-            raise ValueError(
-                f"tensor {name}: shape {tensors[name].shape}, expected {placeholder.shape}"
-            )
-        placeholder.data = tensors[name].data
-    return skeleton
-
-
 # ---------------------------------------------------------------------------
 # objectives
 
@@ -230,48 +236,42 @@ def composite_loss(objective: str, batch: Batch, params: ModelParameters,
     return loss, loss_c, loss_vg
 
 
-def clip_gradients(grads: dict[str, np.ndarray], bound: float) -> dict[str, np.ndarray]:
-    """Elementwise value clipping to [-bound, bound], in place."""
-    if bound <= 0:
-        raise ValueError("clip bound must be positive")
-    for g in grads.values():
-        np.clip(g, -bound, bound, out=g)
-    return grads
+def clip_gradients(grad: np.ndarray, bound: float) -> np.ndarray:
+    """Clip the gradient vector elementwise to [-bound, bound], in place."""
+    return np.clip(grad, -bound, bound, out=grad)
 
 
 @dataclass
 class AdamState:
-    step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    """The step count and the moments m and v, each a FlatTensors laid out like the parameters."""
+
+    step: int
+    m: FlatTensors
+    v: FlatTensors
 
     @classmethod
     def for_params(cls, params: ModelParameters) -> "AdamState":
-        named = params.named()
-        return cls(step=0,
-                   m={k: np.zeros_like(p.data) for k, p in named.items()},
-                   v={k: np.zeros_like(p.data) for k, p in named.items()})
+        return cls(0, FlatTensors(params.values), FlatTensors(params.values))
 
 
-def adam_step(tensors: dict[str, Matrix], grads: dict[str, np.ndarray], state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update, in place a block of rows at a time; increments the step."""
+def adam_step(data: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
+              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """One bias-corrected Adam update of `data`, in place, a block at a time; adds 1 to step."""
     state.step += 1
     bc1, bc2 = 1.0 - beta1**state.step, 1.0 - beta2**state.step
-    scratch_a, scratch_b = np.empty((2, max([ADAM_BLOCK] + [t.cols for t in tensors.values()])))
-    for name, tensor in tensors.items():
-        step = max(1, ADAM_BLOCK // tensor.cols)
-        for rows in (slice(i, i + step) for i in range(0, tensor.rows, step)):
-            g, m, v = grads[name][rows], state.m[name][rows], state.v[name][rows]
-            a, b = scratch_a[: g.size].reshape(g.shape), scratch_b[: g.size].reshape(g.shape)
-            m *= beta1
-            m += np.multiply(g, 1.0 - beta1, out=a)
-            v *= beta2
-            v += np.multiply(np.multiply(g, 1.0 - beta2, out=a), g, out=a)
-            np.sqrt(np.divide(v, bc2, out=a), out=a)
-            a += eps
-            np.multiply(np.divide(m, bc1, out=b), lr, out=b)
-            tensor.data[rows] -= np.divide(b, a, out=b)
+    scratch_a, scratch_b = np.empty((2, ADAM_BLOCK))
+    for start in range(0, data.size, ADAM_BLOCK):
+        block = slice(start, start + ADAM_BLOCK)
+        g, m, v = grad[block], state.m.vector[block], state.v.vector[block]
+        a, b = scratch_a[: g.size], scratch_b[: g.size]
+        m *= beta1
+        m += np.multiply(g, 1.0 - beta1, out=a)
+        v *= beta2
+        v += np.multiply(np.multiply(g, 1.0 - beta2, out=a), g, out=a)
+        np.sqrt(np.divide(v, bc2, out=a), out=a)
+        a += eps
+        np.multiply(np.divide(m, bc1, out=b), lr, out=b)
+        data[block] -= np.divide(b, a, out=b)
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +315,18 @@ def train_step(batch: Batch, params: ModelParameters, adam: AdamState, config: T
         if not np.isfinite(loss_value):
             raise FloatingPointError(f"non-finite loss {loss_value} at step {adam.step + 1}")
         tape.backward(loss)
-    named = params.named()
-    grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.data))
-             for k, p in named.items()}
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient of {name} at step {adam.step + 1}")
-    grads["embeddings"][PAD, :] = 0.0  # PAD row is excluded from updates
-    clip_gradients(grads, config.clip)
-    adam_step(named, grads, adam, config.lr, config.beta1, config.beta2, config.adam_eps)
+    grad = params.grads.vector
+    if not np.isfinite(grad).all():
+        name = next(k for k, g in params.grads.items() if not np.isfinite(g).all())
+        raise FloatingPointError(f"non-finite gradient of {name} at step {adam.step + 1}")
+    params.embeddings.grad[PAD, :] = 0.0  # PAD row is excluded from updates
+    clip_gradients(grad, config.clip)
+    adam_step(params.values.vector, grad, adam, config.lr, config.beta1, config.beta2,
+              config.adam_eps)
     params.embeddings.data[PAD, :] = 0.0
+    # Made while the tape is live, it sits above the step's activations, so the allocator
+    # keeps their pages for the next step instead of trimming them and faulting them back in.
+    params.next_grads = FlatTensors(params.values)
     return loss_value, loss_c, loss_vg
 
 

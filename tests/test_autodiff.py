@@ -321,6 +321,35 @@ def test_grad_check_constant_function():
     assert err == 0.0
 
 
+def test_grad_check_perturbs_theta_in_place_and_restores_it():
+    base = np.arange(1.0, 7.0)
+    theta = Matrix(np.zeros((2, 2)))
+    theta.data = view = base[:4].reshape(2, 2)  # like a model tensor: a view of a vector
+    seen = []
+
+    def f(t):
+        seen.append(np.shares_memory(t.data, base))
+        return ad.sum_all(ad.mul(t, t))
+
+    u = np.array([[1.0, -2.0], [0.5, 0.0]])
+    assert grad_check(f, theta) < 1e-9
+    assert grad_check(f, theta, directions=[u / np.linalg.norm(u)]) < 1e-9
+    assert all(seen) and theta.data is view
+    np.testing.assert_array_equal(base, np.arange(1.0, 7.0))
+
+
+def test_grad_check_direction_catches_a_wrong_gradient():
+    def doubled_gradient(x):  # identity forward, backward twice the true gradient
+        out = Matrix(x.data)
+        ad.record("doubled", (x,), out, lambda: x.accumulate(2.0 * out.grad))
+        return out
+
+    theta = Matrix([[0.3, -0.7]])
+    err = grad_check(lambda t: ad.sum_all(doubled_gradient(t)), theta,
+                     directions=[np.array([[0.6, 0.8]])])
+    assert err == pytest.approx(1.0 / 3.0)
+
+
 def test_grad_check_rejects_non_scalar():
     theta = Matrix([[1.0, 2.0]])
     with pytest.raises(ShapeError):

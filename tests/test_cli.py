@@ -1,6 +1,7 @@
 """End-to-end CLI tests over a miniature corpus."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -157,8 +158,12 @@ def test_train_with_non_finite_gradient_fails_cleanly(workspace, tmp_path, capsy
 
 @pytest.mark.parametrize("old, new", [(b'"step"', b'"stdp"'), (b'"epoch"', b'"epocx"'),
                                       (b'"dropout"', b'"dropoux"'),
-                                      (b"adam_m/dec_bias", b"adam_m/dec_biaz")],
-                         ids=["step", "epoch", "config-key", "adam-tensor"])
+                                      (b"adam_m/dec_bias", b"adam_m/dec_biaz"),
+                                      (b"adam_m/dec_bias" + struct.pack("<II", 1, 24),
+                                       b"adam_m/dec_bias" + struct.pack("<II", 24, 1)),
+                                      (b"\x08\x00dec_bias", b"\x08\x00dec_biaz")],
+                         ids=["step", "epoch", "config-key", "adam-tensor", "adam-shape",
+                              "param-tensor"])
 def test_checkpoint_with_wrong_metadata_fails_cleanly(workspace, tmp_path, capsys, old, new):
     data = workspace["checkpoint"].read_bytes()
     assert data.count(old) == 1

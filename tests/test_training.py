@@ -12,7 +12,7 @@ from groundsent import training
 from groundsent.autodiff import Matrix, Tape
 from groundsent.data import PAD, build_vocab, gen_synthetic, make_batches, numericalize
 from groundsent.training import (
-    AdamState, ModelParameters, TrainConfig, adam_step, assemble_params, clip_gradients,
+    AdamState, FlatTensors, ModelParameters, TrainConfig, adam_step, clip_gradients,
     composite_loss, init_params, train, train_step,
 )
 
@@ -86,40 +86,42 @@ def test_every_tensor_named_exactly_once():
 
 
 def test_clip_gradients_examples():
-    grads = {"a": np.array([[7.0, -12.0, 3.0]])}
-    clip_gradients(grads, 5.0)
-    np.testing.assert_array_equal(grads["a"], [[5.0, -5.0, 3.0]])
+    grad = np.array([7.0, -12.0, 3.0])
+    clip_gradients(grad, 5.0)
+    np.testing.assert_array_equal(grad, [5.0, -5.0, 3.0])
 
 
 def test_clip_leaves_in_bound_untouched():
-    g = np.array([[1.0, -4.9]])
-    grads = {"a": g.copy()}
-    clip_gradients(grads, 5.0)
-    np.testing.assert_array_equal(grads["a"], g)
+    g = np.array([1.0, -4.9])
+    grad = g.copy()
+    clip_gradients(grad, 5.0)
+    np.testing.assert_array_equal(grad, g)
+
+
+def one_tensor_adam():
+    like = {"t": np.empty((1, 2))}
+    return AdamState(0, FlatTensors(like), FlatTensors(like))
 
 
 def test_adam_zero_gradient_is_noop():
-    theta = Matrix([[2.0, -1.0]])
-    state = AdamState(m={"t": np.zeros((1, 2))}, v={"t": np.zeros((1, 2))})
-    before = theta.data.copy()
-    adam_step({"t": theta}, {"t": np.zeros((1, 2))}, state, lr=0.1)
-    np.testing.assert_array_equal(theta.data, before)
+    theta = np.array([2.0, -1.0])
+    before = theta.copy()
+    adam_step(theta, np.zeros(2), one_tensor_adam(), lr=0.1)
+    np.testing.assert_array_equal(theta, before)
 
 
 def test_adam_first_step_magnitude_is_lr():
-    theta = Matrix([[2.0, -1.0]])
-    state = AdamState(m={"t": np.zeros((1, 2))}, v={"t": np.zeros((1, 2))})
-    before = theta.data.copy()
-    adam_step({"t": theta}, {"t": np.array([[0.5, -3.0]])}, state, lr=1e-3)
-    delta = np.abs(theta.data - before)
-    np.testing.assert_allclose(delta, 1e-3, rtol=1e-6)
+    theta = np.array([2.0, -1.0])
+    before = theta.copy()
+    adam_step(theta, np.array([0.5, -3.0]), one_tensor_adam(), lr=1e-3)
+    np.testing.assert_allclose(np.abs(theta - before), 1e-3, rtol=1e-6)
 
 
 def test_adam_converges_on_quadratic():
     target = np.array([[1.0, -2.0]])
     theta = Matrix([[1.5, 2.3]])
     tgt = Matrix(target)
-    state = AdamState(m={"t": np.zeros((1, 2))}, v={"t": np.zeros((1, 2))})
+    state = one_tensor_adam()
     loss_value = None
     for _ in range(500):
         theta.grad = None
@@ -128,11 +130,11 @@ def test_adam_converges_on_quadratic():
             loss = ad.sum_all(ad.mul(diff, diff))
             loss_value = loss.item()
             tape.backward(loss)
-        adam_step({"t": theta}, {"t": theta.grad}, state, lr=0.1)
+        adam_step(theta.data.reshape(-1), theta.grad.reshape(-1), state, lr=0.1)
     assert loss_value < 1e-6
 
 
-@pytest.mark.parametrize("block", [None, 8])  # 8: several blocks per tensor, one row wider
+@pytest.mark.parametrize("block", [None, 8])  # 8: blocks cross tensor boundaries
 def test_adam_step_matches_reference_update_bit_for_bit(monkeypatch, block):
     if block is not None:
         monkeypatch.setattr(training, "ADAM_BLOCK", block)
@@ -149,23 +151,57 @@ def test_adam_step_matches_reference_update_bit_for_bit(monkeypatch, block):
             data -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
 
     rng = np.random.default_rng(14)
-    shapes = {"big": (7, 5), "wide": (1, 12), "mid": (3, 4), "small": (2, 2)}  # largest first
-    start = {k: rng.standard_normal(s) for k, s in shapes.items()}
-    tensors = {k: Matrix(a.copy()) for k, a in start.items()}
-    state = AdamState(m={k: np.zeros(s) for k, s in shapes.items()},
-                      v={k: np.zeros(s) for k, s in shapes.items()})
-    ref = {k: a.copy() for k, a in start.items()}
+    shapes = {"big": (7, 5), "wide": (1, 12), "mid": (3, 4), "small": (2, 2)}  # 67 entries
+    like = {k: np.empty(s) for k, s in shapes.items()}
+    data, grads = FlatTensors(like), FlatTensors(like)
+    data.vector[:] = rng.standard_normal(data.vector.size)
+    state = AdamState(0, FlatTensors(like), FlatTensors(like))
+    ref = {k: a.copy() for k, a in data.items()}
     ref_m = {k: np.zeros(s) for k, s in shapes.items()}
     ref_v = {k: np.zeros(s) for k, s in shapes.items()}
     for t in range(1, 4):
-        grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
-        adam_step(tensors, grads, state, lr=0.01)
+        grads.vector[:] = rng.standard_normal(grads.vector.size)
+        adam_step(data.vector, grads.vector, state, lr=0.01)
         reference_update(ref, grads, ref_m, ref_v, t, lr=0.01)
     assert state.step == 3
     for k in shapes:
-        np.testing.assert_array_equal(tensors[k].data, ref[k])
+        np.testing.assert_array_equal(data[k], ref[k])
         np.testing.assert_array_equal(state.m[k], ref_m[k])
         np.testing.assert_array_equal(state.v[k], ref_v[k])
+
+
+def assert_views_of_vectors(params):
+    """Every tensor's .data, and .grad when set, is a view of the model's one vector."""
+    for name, m in params.named().items():
+        assert np.shares_memory(m.data, params.values.vector), name
+        assert m.grad is None or np.shares_memory(m.grad, params.grads.vector), name
+
+
+def test_tensors_stay_views_of_the_parameter_and_gradient_vectors(tmp_path):
+    config = TrainConfig(objective="cap2all", **TINY)
+    corpus = gen_synthetic(6, 8, config.d_img, seed=4)
+    vocab = build_vocab(corpus, 1)
+    params = init_params(config, vocab.size)
+    assert_views_of_vectors(params)
+    params.zero_grads()
+    assert all(m.grad is not None for m in params.named().values())
+    assert_views_of_vectors(params)
+
+    batch = make_batches(numericalize(corpus, vocab), config.batch_size, seed=0)[0]
+    adam = AdamState.for_params(params)
+    before = params.values.vector.copy()
+    train_step(batch, params, adam, config, rng=np.random.default_rng(0))
+    assert_views_of_vectors(params)
+    assert not np.array_equal(params.values.vector, before)  # Adam updated the model's memory
+    params.zero_grads()  # takes the vector the step left in next_grads
+    assert params.next_grads is None and not params.grads.vector.any()
+    assert_views_of_vectors(params)
+
+    result = train(config, corpus, out_dir=tmp_path)
+    loaded, adam, _, _, _ = ckpt.load(result.checkpoint_path)
+    assert_views_of_vectors(loaded)
+    for moments in (adam.m, adam.v):
+        assert all(np.shares_memory(view, moments.vector) for view in moments.values())
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +423,11 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     straight_tail = [m.loss for m in straight.metrics[2:]]
     resumed_losses = [m.loss for m in resumed.metrics]
     assert len(resumed_losses) == 2
-    np.testing.assert_allclose(resumed_losses, straight_tail, atol=1e-12)
-    for name, tensor in straight.params.named().items():
-        np.testing.assert_allclose(tensor.data, resumed.params.named()[name].data,
-                                   atol=1e-12)
+    np.testing.assert_array_equal(resumed_losses, straight_tail)
+    np.testing.assert_array_equal(straight.params.values.vector, resumed.params.values.vector)
+    np.testing.assert_array_equal(straight.adam.m.vector, resumed.adam.m.vector)
+    np.testing.assert_array_equal(straight.adam.v.vector, resumed.adam.v.vector)
+    assert straight.adam.step == resumed.adam.step
 
 
 def test_resume_rejects_mismatched_config(tmp_path):
@@ -400,11 +437,3 @@ def test_resume_rejects_mismatched_config(tmp_path):
     other = TrainConfig(objective="cap2img", **{**TINY, "epochs": 1, "lr": 5e-4})
     with pytest.raises(ValueError, match="config"):
         train(other, corpus, resume_from=result.checkpoint_path)
-
-
-def test_assemble_params_rejects_missing_tensor():
-    config, params, _, vocab, _ = tiny_setup()
-    tensors = {k: Matrix(v.data.copy()) for k, v in params.named().items()}
-    tensors.pop("attn_proj")
-    with pytest.raises(ValueError, match="attn_proj"):
-        assemble_params(config, vocab.size, tensors)
