@@ -104,11 +104,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.limit is not None and args.limit < 2:
+        raise ValueError(f"--limit must be at least 2, got {args.limit}")
     params, _, _, vocab, _ = ckpt.load(args.checkpoint)
     corpus = Corpus.load(args.corpus)
-    samples = numericalize(corpus, vocab)
-    if args.limit is not None:
-        samples = samples[: args.limit]
+    samples = numericalize(corpus, vocab)[: args.limit]
     s2i, i2s = retrieval_eval(params, samples)
     print(json.dumps({"sentence_to_image": s2i.to_dict(), "image_to_sentence": i2s.to_dict()},
                      indent=2))

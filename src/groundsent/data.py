@@ -144,7 +144,7 @@ class Corpus:
     @classmethod
     def load(cls, path) -> "Corpus":
         """Read a corpus file; a malformed line raises ValueError naming its line number."""
-        records = []
+        records, seen = [], set()
         lineno = 1
         with open(path, "r", encoding="utf-8") as fh:
             try:
@@ -164,9 +164,13 @@ class Corpus:
                         raise ValueError(f"corpus line {lineno}: non-finite image vector")
                     if not norm > 0:
                         raise ValueError(f"corpus line {lineno}: zero-norm image vector")
+                    sample_id = str(obj["id"])
+                    if sample_id in seen:
+                        raise ValueError(f"corpus line {lineno}: duplicate id {sample_id!r}")
+                    seen.add(sample_id)
                     records.append(
                         CaptionRecord(
-                            id=str(obj["id"]), src=obj["src"], tgt=obj["tgt"],
+                            id=sample_id, src=obj["src"], tgt=obj["tgt"],
                             img=img, salient=obj.get("salient"),
                         )
                     )

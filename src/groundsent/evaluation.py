@@ -3,10 +3,10 @@
 All functions here run with frozen parameters and no tape, so they are
 deterministic (dropout off) and safe to run concurrently across inputs.
 
-Sentences are encoded as lanes (see `encoder`): chunks of ENCODE_CHUNK
-sentences, in the order given, each padded on the right with PAD into one
-(B, T) id matrix and encoded by one call. A lane's result depends on its
-chunk only through rounding (B = 1 and B > 1 run different BLAS kernels).
+Sentences are encoded as lanes (see `encoder`): chunks of ENCODE_CHUNK in stable
+length order, each PAD-padded into one (B, T) id matrix and encoded by one call;
+rows come back in input order. A lane's result depends on its chunk only through
+rounding (B = 1 and B > 1 run different BLAS kernels). Ranks are computed array-wide.
 """
 
 from __future__ import annotations
@@ -63,11 +63,13 @@ def _chunks(seqs: list[np.ndarray]):
 
 
 def _encode_ids(params: ModelParameters, seqs: list[np.ndarray]) -> np.ndarray:
-    """Combined representation of each id sequence, (n, 2*d_cell)."""
-    reps = [encode_sentence(params.encoder, params.embeddings, ids)[0].combined.data
-            for ids in _chunks(seqs)]
-    width = 2 * params.encoder.forward_cell.hidden_dim
-    return np.vstack(reps) if reps else np.zeros((0, width))
+    """Combined representation of each id sequence, (n, 2*d_cell), in input order."""
+    order = np.argsort([len(s) for s in seqs], kind="stable")
+    reps = np.zeros((len(seqs), 2 * params.encoder.forward_cell.hidden_dim))
+    for start, ids in zip(range(0, len(seqs), ENCODE_CHUNK), _chunks([seqs[i] for i in order])):
+        rep, _ = encode_sentence(params.encoder, params.embeddings, ids)
+        reps[order[start : start + ENCODE_CHUNK]] = rep.combined.data
+    return reps
 
 
 def encode_reps(params: ModelParameters, samples: list[Sample]) -> np.ndarray:
@@ -75,22 +77,26 @@ def encode_reps(params: ModelParameters, samples: list[Sample]) -> np.ndarray:
     return _encode_ids(params, [s.src for s in samples])
 
 
-def rank_of(scores: np.ndarray, true_idx: int) -> int:
-    """1-based rank of the true candidate; ties break by corpus order."""
-    s = scores[true_idx]
-    better = int((scores > s).sum())
-    tied_before = int((scores[:true_idx] == s).sum())
-    return better + tied_before + 1
+def ranks(sims: np.ndarray) -> np.ndarray:
+    """1-based rank of the diagonal entry in each row of the (n, n) `sims`; ties break by column."""
+    out, diag = np.empty(len(sims), dtype=np.int64), np.diagonal(sims)[:, None]
+    for a in range(0, len(sims), ENCODE_CHUNK):  # row blocks: no (n, n) temporary
+        block, true = sims[a : a + ENCODE_CHUNK], diag[a : a + ENCODE_CHUNK]
+        # an earlier column outranks the diagonal on a tie, a later one only when greater
+        earlier = np.count_nonzero(block[:, :a] >= true, axis=1) + np.count_nonzero(
+            np.tril(block[:, a : a + ENCODE_CHUNK] == true, -1), axis=1)
+        out[a : a + len(block)] = 1 + earlier + np.count_nonzero(block[:, a:] > true, axis=1)
+    return out
 
 
-def _report(direction: str, ranks: np.ndarray) -> RetrievalReport:
+def _report(direction: str, rank: np.ndarray) -> RetrievalReport:
     return RetrievalReport(
         direction=direction,
-        recall_at_1=float((ranks <= 1).mean()),
-        recall_at_5=float((ranks <= 5).mean()),
-        recall_at_10=float((ranks <= 10).mean()),
-        median_rank=float(np.median(ranks)),
-        pool_size=int(ranks.size),
+        recall_at_1=float((rank <= 1).mean()),
+        recall_at_5=float((rank <= 5).mean()),
+        recall_at_10=float((rank <= 10).mean()),
+        median_rank=float(np.median(rank)),
+        pool_size=int(rank.size),
     )
 
 
@@ -103,13 +109,13 @@ def retrieval_eval(params: ModelParameters,
     """
     if len(samples) < 2:
         raise ValueError("retrieval needs a pool of at least 2 samples")
+    if len({s.id for s in samples}) != len(samples):
+        raise ValueError("retrieval pool has duplicate sample ids")
     samples = sorted(samples, key=lambda s: s.id)
     predicted = project(params.projection, Matrix(encode_reps(params, samples)))
     images = Matrix(np.vstack([s.img for s in samples]))
     sims = cosine_matrix(predicted, images).data  # [k, j] = sim(pred_k, img_j)
-    s2i = np.array([rank_of(sims[k], k) for k in range(len(samples))])
-    i2s = np.array([rank_of(sims[:, j], j) for j in range(len(samples))])
-    return _report("sentence_to_image", s2i), _report("image_to_sentence", i2s)
+    return _report("sentence_to_image", ranks(sims)), _report("image_to_sentence", ranks(sims.T))
 
 
 def salience(params: ModelParameters, vocab: Vocabulary, sentence: str) -> SalienceRecord:

@@ -66,6 +66,16 @@ def test_eval_reports_both_directions(workspace, capsys):
     assert report["image_to_sentence"]["direction"] == "image_to_sentence"
 
 
+@pytest.mark.parametrize("limit", ["-1", "1"])
+def test_eval_limit_below_two_fails_cleanly(workspace, capsys, limit):
+    assert main(["eval", "--checkpoint", str(workspace["checkpoint"]),
+                 "--corpus", str(workspace["corpus"]), "--limit", limit]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--limit" in err[0]
+
+
 def test_salience_json_schema(workspace, capsys):
     assert main(["salience", "--checkpoint", str(workspace["checkpoint"]),
                  "--sentence", "obj01 vis00 obj02"]) == 0
@@ -127,6 +137,17 @@ def test_train_on_one_sample_corpus_fails_before_writing(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "at least 2" in err[0]
     assert not (run / "checkpoint.bin").exists() and not (run / "metrics.jsonl").exists()
+
+
+def test_train_on_corpus_with_duplicate_ids_fails_before_writing(workspace, tmp_path, capsys):
+    lines = workspace["corpus"].read_text().splitlines()
+    corpus, run = tmp_path / "dup.jsonl", tmp_path / "run"
+    corpus.write_text("\n".join(lines + [lines[3]]) + "\n")
+    assert main(["train", "--corpus", str(corpus), "--out", str(run), "--epochs", "1",
+                 "--batch", "4", *SMALL_DIMS]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: corpus line {len(lines) + 1}: duplicate id")
+    assert not run.exists()
 
 
 def test_train_on_corpus_without_d_img_fails_cleanly(tmp_path, capsys):

@@ -211,6 +211,15 @@ def test_corpus_load_rejects_missing_field_naming_line(tmp_path):
         Corpus.load(path)
 
 
+def test_corpus_load_rejects_duplicate_id_naming_line(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"d_img": 2}\n{"id": "x", "src": "a", "tgt": "a", "img": [1.0, 0.0]}\n'
+                    '{"id": "y", "src": "b", "tgt": "b", "img": [0.0, 1.0]}\n'
+                    '{"id": "x", "src": "c", "tgt": "c", "img": [1.0, 1.0]}\n')
+    with pytest.raises(ValueError, match="corpus line 4: duplicate id 'x'"):
+        Corpus.load(path)
+
+
 @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
 def test_corpus_load_rejects_non_finite_image_naming_line(tmp_path, value):
     path = tmp_path / "bad.jsonl"

@@ -5,7 +5,8 @@ import pytest
 
 from groundsent.data import build_vocab, gen_synthetic, numericalize
 from groundsent.evaluation import (
-    embed_lines, mean_token_nll, rank_of, retrieval_eval, salience, salient_hit_rate,
+    ENCODE_CHUNK, embed_lines, encode_reps, mean_token_nll, ranks, retrieval_eval, salience,
+    salient_hit_rate,
 )
 from groundsent.training import TrainConfig, init_params
 
@@ -30,17 +31,49 @@ def test_retrieval_rejects_tiny_pool():
         retrieval_eval(params, samples[:1])
 
 
-def test_rank_of_breaks_ties_by_corpus_order():
+def test_retrieval_rejects_duplicate_ids():
+    _, _, _, params, samples = setup_model(n=16)
+    with pytest.raises(ValueError, match="duplicate"):
+        retrieval_eval(params, samples + samples[:1])
+
+
+def test_ranks_break_ties_by_corpus_order():
+    # each row of `sims` holds the same scores, so row k ranks scores[k] among them
     scores = np.array([0.5, 0.9, 0.5, 0.5])
-    assert rank_of(scores, 0) == 2   # one strictly better, no earlier ties
-    assert rank_of(scores, 2) == 3   # index 0 ties and comes earlier
-    assert rank_of(scores, 1) == 1
+    got = ranks(np.tile(scores, (4, 1)))
+    assert got[0] == 2   # one strictly better, no earlier ties
+    assert got[2] == 3   # index 0 ties and comes earlier
+    assert got[1] == 1
+
+
+def test_ranks_match_sort_oracle_with_ties():
+    # one decimal forces ties; pools past ENCODE_CHUNK span several row blocks,
+    # the last of them partial
+    for n in range(2, 131):
+        sims = np.round(np.random.default_rng(n).uniform(-1, 1, (n, n)), 1)
+        for s in (sims, sims.T):
+            want = [sorted(range(n), key=lambda j: (-s[k, j], j)).index(k) + 1
+                    for k in range(n)]
+            np.testing.assert_array_equal(ranks(s), want, err_msg=f"pool {n}")
+
+
+def test_retrieval_all_tied_ranks_by_id():
+    # a zero last layer predicts the zero vector, so every cosine is exactly 0
+    _, _, _, params, samples = setup_model(n=20)
+    params.projection.weights[-1].data[:] = 0.0
+    params.projection.biases[-1].data[:] = 0.0
+    n = len(samples)
+    perm = np.random.default_rng(2).permutation(n)
+    for pool in (samples, [samples[i] for i in perm]):
+        for report in retrieval_eval(params, pool):
+            assert report.recall_at_1 == 1 / n
+            assert report.recall_at_10 == 10 / n
+            assert report.median_rank == (n + 1) / 2
 
 
 def test_retrieval_matches_brute_force_ranker():
     # independent similarity routine + explicit sort, pool of 16
     from groundsent.autodiff import Matrix
-    from groundsent.evaluation import encode_reps
     from groundsent.grounding import project
 
     _, _, _, params, samples = setup_model(n=16)
@@ -156,6 +189,22 @@ def test_embed_lines_identical_lines_identical_vectors():
     out = embed_lines(params, vocab, [line, corpus.records[1].src, line])
     np.testing.assert_array_equal(out[0], out[2])
     assert out.shape == (3, 2 * 4)
+
+
+def test_length_ordered_encoding_returns_input_order():
+    # lengths alternate longest, shortest, next longest, ... over more than one
+    # chunk, so length order and input order differ throughout
+    n = ENCODE_CHUNK + 6
+    _, corpus, vocab, params, samples = setup_model(n=n)
+    by_len = sorted(range(n), key=lambda i: len(samples[i].src))
+    order = [by_len[-1 - k // 2] if k % 2 == 0 else by_len[k // 2] for k in range(n)]
+    pool = [samples[i] for i in order]
+    assert len(pool[0].src) > len(pool[1].src)
+    reps = encode_reps(params, pool)
+    alone = np.vstack([encode_reps(params, [s]) for s in pool])
+    np.testing.assert_allclose(reps, alone, rtol=0, atol=1e-12)
+    lines = [corpus.records[i].src for i in order]
+    np.testing.assert_array_equal(embed_lines(params, vocab, lines), reps)
 
 
 def test_embed_lines_context_independent():
