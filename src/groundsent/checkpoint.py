@@ -4,17 +4,19 @@ Layout (little-endian):
     magic  b"GSCP"
     u32    format version
     u64    metadata length, then that many bytes of canonical JSON
-    u32    tensor count
-    per tensor, sorted by name:
-        u16 name length, name (utf-8), u32 rows, u32 cols, rows*cols f8
+    f8     the parameter vector, then Adam's m and v, each `FlatTensors.vector`
 
-The JSON block holds the train config and its hash, the epoch/step
-counters, and the vocabulary (content tokens in id order), so evaluation
-surfaces can run from a checkpoint alone. Saving is canonical: writing a
-just-loaded checkpoint reproduces the original bytes. Saving is also
-crash-safe: the bytes go to a temporary file in the same directory, which
-is flushed, fsynced and then renamed over the target, so an interrupted
-save leaves the previous checkpoint intact.
+The JSON block holds the train config and its hash, the epoch/step counters
+and the vocabulary (content tokens in id order), so evaluation surfaces can
+run from a checkpoint alone. It also holds the layout the three vectors
+share, `[[name, rows, cols], ...]` in `ModelParameters.named()` order, and
+one CRC-32 per vector. Each vector is written with one call and read with
+one `readinto`; a file whose length, layout or CRCs disagree is refused.
+
+Saving is canonical: writing a just-loaded checkpoint reproduces the
+original bytes. Saving is also crash-safe: the bytes go to a temporary file
+in the same directory, which is flushed, fsynced and then renamed over the
+target, so an interrupted save leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
@@ -23,14 +25,13 @@ import hashlib
 import json
 import os
 import struct
-
-import numpy as np
+import zlib
 
 from .data import Vocabulary
-from .training import AdamState, ModelParameters, TrainConfig, init_params
+from .training import AdamState, FlatTensors, ModelParameters, TrainConfig, init_params
 
 MAGIC = b"GSCP"
-VERSION = 1
+VERSION = 2
 
 
 def _canonical_json(obj) -> bytes:
@@ -41,40 +42,18 @@ def config_hash(config: TrainConfig) -> str:
     return hashlib.sha256(_canonical_json(config.to_dict())).hexdigest()
 
 
-def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
-    encoded = name.encode("utf-8")
-    fh.write(struct.pack("<H", len(encoded)))
-    fh.write(encoded)
-    fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-    fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+def _layout(flat: FlatTensors) -> list[list]:
+    return [[name, *view.shape] for name, view in flat.items()]
 
 
-def _read_exact(fh, n: int, size: int) -> bytes:
-    """n bytes from fh, or EOFError; n beyond the file's size is refused before reading."""
-    data = fh.read(n) if n <= size else b""
-    if len(data) != n:
-        raise EOFError
-    return data
-
-
-def _read_tensor(fh, size: int) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<H", _read_exact(fh, 2, size))
-    name = _read_exact(fh, name_len, size).decode("utf-8")
-    rows, cols = struct.unpack("<II", _read_exact(fh, 8, size))
-    data = _read_exact(fh, rows * cols * 8, size)
-    return name, np.frombuffer(data, dtype="<f8").reshape(rows, cols)
-
-
-def _arrays(params: ModelParameters, adam: AdamState) -> dict[str, np.ndarray]:
-    """Every array a checkpoint holds, by its name in the file."""
-    arrays = dict(params.values)
-    for kind, moments in (("m", adam.m), ("v", adam.v)):
-        arrays.update({f"adam_{kind}/{k}": view for k, view in moments.items()})
-    return arrays
+def _vectors(params: ModelParameters, adam: AdamState) -> tuple:
+    """The three vectors a checkpoint holds, in file order."""
+    return params.values.vector, adam.m.vector, adam.v.vector
 
 
 def save(path, params: ModelParameters, adam: AdamState, config: TrainConfig,
          vocab: Vocabulary, epoch: int) -> None:
+    vectors = _vectors(params, adam)
     meta = {
         "format_version": VERSION,
         "config": config.to_dict(),
@@ -82,19 +61,16 @@ def save(path, params: ModelParameters, adam: AdamState, config: TrainConfig,
         "epoch": epoch,
         "step": adam.step,
         "vocab": vocab.content_tokens(),
+        "layout": _layout(params.values),
+        "crc32": [zlib.crc32(v) for v in vectors],
     }
-    tensors = _arrays(params, adam)
     blob = _canonical_json(meta)
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
-            fh.write(struct.pack("<I", len(tensors)))
-            for name in sorted(tensors):
-                _write_tensor(fh, name, tensors[name])
+            fh.write(MAGIC + struct.pack("<IQ", VERSION, len(blob)) + blob)
+            for vector in vectors:
+                fh.write(vector)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -107,36 +83,36 @@ def load(path) -> tuple[ModelParameters, AdamState, TrainConfig, Vocabulary, int
     """Read a checkpoint; a truncated, padded or inconsistent file raises ValueError."""
     corrupt = ValueError(f"{path}: truncated or corrupt checkpoint")
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
+        header = fh.read(16)
+        if header[:4] != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
+        if len(header) != 16:
+            raise corrupt
+        version, meta_len = struct.unpack("<IQ", header[4:])
+        if version != VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
         size = os.fstat(fh.fileno()).st_size
         try:
-            (version,) = struct.unpack("<I", _read_exact(fh, 4, size))
-            if version != VERSION:
-                raise ValueError(f"{path}: unsupported checkpoint version {version}")
-            (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8, size))
-            meta = json.loads(_read_exact(fh, meta_len, size))
-            (count,) = struct.unpack("<I", _read_exact(fh, 4, size))
-            tensors = dict(_read_tensor(fh, size) for _ in range(count))
-            if fh.read(1):
-                raise EOFError
-        except (EOFError, UnicodeDecodeError, json.JSONDecodeError):
+            # a read bounded by the file's size; a cut or overlong block fails to parse
+            meta = json.loads(fh.read(min(meta_len, size)))
+            config = TrainConfig(**meta["config"])
+            step, epoch, vocab = int(meta["step"]), int(meta["epoch"]), Vocabulary(meta["vocab"])
+            layout, crcs = meta["layout"], meta["crc32"]
+            # the three vectors fill the rest of the file exactly; checked before allocating
+            if 3 * 8 * sum(rows * cols for _, rows, cols in layout) != size - fh.tell():
+                raise corrupt
+        except (KeyError, TypeError, ValueError):
             raise corrupt from None
+        if meta.get("config_hash") != config_hash(config):
+            raise ValueError(f"{path}: config hash mismatch")
 
-    try:
-        config = TrainConfig(**meta["config"])
-        step, epoch, vocab = int(meta["step"]), int(meta["epoch"]), Vocabulary(meta["vocab"])
-    except (KeyError, TypeError):
-        raise corrupt from None
-    if meta.get("config_hash") != config_hash(config):
-        raise ValueError(f"{path}: config hash mismatch")
-
-    params = init_params(config, vocab.size)
-    adam = AdamState.for_params(params)
-    adam.step = step
-    views = _arrays(params, adam)
-    if {k: t.shape for k, t in tensors.items()} != {k: view.shape for k, view in views.items()}:
-        raise corrupt  # a tensor missing, unknown or of the wrong shape
-    for name, view in views.items():
-        view[...] = tensors[name]
+        params = init_params(config, vocab.size)
+        if layout != _layout(params.values):
+            raise corrupt  # a tensor missing, unknown or of the wrong shape
+        adam = AdamState.for_params(params)
+        adam.step = step
+        vectors = _vectors(params, adam)
+        if (any(fh.readinto(v) != v.nbytes for v in vectors)
+                or [zlib.crc32(v) for v in vectors] != crcs):
+            raise corrupt
     return params, adam, config, vocab, epoch

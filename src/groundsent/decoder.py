@@ -75,11 +75,11 @@ def cross_entropy_rows(states: Matrix, out_w: Matrix, out_b: Matrix, targets: np
 
 
 def caption_nll(params: DecoderParams, embeddings: Matrix, sentence_reps: Matrix,
-                tgt_ids, pad_id: int = PAD) -> Matrix:
+                tgt_ids) -> Matrix:
     """Teacher-forced negative log-likelihood of the targets, summed over steps and lanes.
 
     tgt_ids is one BOS...EOS sequence or a (B, L) batch of them right-padded
-    with pad_id, one lane per row of sentence_reps; step t consumes tgt[t-1]
+    with PAD, one lane per row of sentence_reps; step t consumes tgt[t-1]
     and predicts tgt[t]. Steps whose target is PAD are masked out, so
     trailing padding never changes the loss.
     """
@@ -92,4 +92,4 @@ def caption_nll(params: DecoderParams, embeddings: Matrix, sentence_reps: Matrix
     xs = ad.select_rows(embeddings, tgt[:, :-1].T.reshape(-1))
     states = run_lanes(params.cell, project_inputs(params.cell, xs), h, c)
     targets = tgt[:, 1:].T.reshape(-1)
-    return cross_entropy_rows(states, params.out_w, params.out_b, targets, targets != pad_id)
+    return cross_entropy_rows(states, params.out_w, params.out_b, targets, targets != PAD)

@@ -3,10 +3,11 @@
 All functions here run with frozen parameters and no tape, so they are
 deterministic (dropout off) and safe to run concurrently across inputs.
 
-Sentences are encoded as lanes (see `encoder`): chunks of ENCODE_CHUNK in stable
-length order, each PAD-padded into one (B, T) id matrix and encoded by one call;
-rows come back in input order. A lane's result depends on its chunk only through
-rounding (B = 1 and B > 1 run different BLAS kernels). Ranks are computed array-wide.
+Sentences are encoded, and captions decoded, as lanes (see `encoder`): chunks of
+ENCODE_CHUNK in stable length order, each PAD-padded into one (B, T) id matrix
+and run by one call; rows come back in input order. A lane's result depends on
+its chunk only through rounding (B = 1 and B > 1 run different BLAS kernels).
+Ranks are computed array-wide.
 """
 
 from __future__ import annotations
@@ -58,17 +59,19 @@ class SalienceRecord:
 
 
 def _chunks(seqs: list[np.ndarray]):
+    """(input rows, PAD-padded (B, T) ids) per chunk of ENCODE_CHUNK, in stable length order."""
+    order = np.argsort([len(s) for s in seqs], kind="stable")
     for start in range(0, len(seqs), ENCODE_CHUNK):
-        yield pad_sequences(seqs[start : start + ENCODE_CHUNK])[0]
+        rows = order[start : start + ENCODE_CHUNK]
+        yield rows, pad_sequences([seqs[i] for i in rows])[0]
 
 
 def _encode_ids(params: ModelParameters, seqs: list[np.ndarray]) -> np.ndarray:
     """Combined representation of each id sequence, (n, 2*d_cell), in input order."""
-    order = np.argsort([len(s) for s in seqs], kind="stable")
     reps = np.zeros((len(seqs), 2 * params.encoder.forward_cell.hidden_dim))
-    for start, ids in zip(range(0, len(seqs), ENCODE_CHUNK), _chunks([seqs[i] for i in order])):
+    for rows, ids in _chunks(seqs):
         rep, _ = encode_sentence(params.encoder, params.embeddings, ids)
-        reps[order[start : start + ENCODE_CHUNK]] = rep.combined.data
+        reps[rows] = rep.combined.data
     return reps
 
 
@@ -154,9 +157,12 @@ def embed_lines(params: ModelParameters, vocab: Vocabulary, lines: list[str]) ->
 
 
 def mean_token_nll(params: ModelParameters, samples: list[Sample]) -> float:
-    """Corpus mean per-token caption NLL under frozen parameters."""
+    """Corpus mean per-token caption NLL under frozen parameters.
+
+    Sources are encoded, and targets decoded, each in their own length order.
+    """
+    reps = _encode_ids(params, [s.src for s in samples])
     total = 0.0
-    for src, tgt in zip(_chunks([s.src for s in samples]), _chunks([s.tgt for s in samples])):
-        rep, _ = encode_sentence(params.encoder, params.embeddings, src)
-        total += caption_nll(params.decoder, params.embeddings, rep.combined, tgt).item()
+    for rows, tgt in _chunks([s.tgt for s in samples]):
+        total += caption_nll(params.decoder, params.embeddings, Matrix(reps[rows]), tgt).item()
     return total / sum(len(s.tgt) - 1 for s in samples)

@@ -76,11 +76,14 @@ class TrainConfig:
 
 
 class FlatTensors(dict):
-    """Name -> view of `vector`, laid out like `like`; np.zeros: unwritten pages stay unmapped."""
+    """Name -> view of `vector`, laid out like `like`; np.zeros: unwritten pages stay unmapped.
+
+    `vector` is little-endian float64, the byte order a checkpoint stores it in.
+    """
 
     def __init__(self, like: dict[str, np.ndarray]):
         super().__init__()
-        self.vector = np.zeros(sum(a.size for a in like.values()))
+        self.vector = np.zeros(sum(a.size for a in like.values()), dtype="<f8")
         start = 0
         for name, a in like.items():
             self[name] = self.vector[start : start + a.size].reshape(a.shape)

@@ -177,19 +177,45 @@ def test_train_with_non_finite_gradient_fails_cleanly(workspace, tmp_path, capsy
     assert not (run / "checkpoint.bin").exists()
 
 
+def _salience_errors(path, capsys) -> list[str]:
+    """stderr lines of a `salience` run on the checkpoint at path, which must exit 1."""
+    assert main(["salience", "--checkpoint", str(path), "--sentence", "obj01 vis00"]) == 1
+    return capsys.readouterr().err.strip().splitlines()
+
+
+# each edit keeps the file's length, so only the metadata check can catch it
 @pytest.mark.parametrize("old, new", [(b'"step"', b'"stdp"'), (b'"epoch"', b'"epocx"'),
                                       (b'"dropout"', b'"dropoux"'),
-                                      (b"adam_m/dec_bias", b"adam_m/dec_biaz"),
-                                      (b"adam_m/dec_bias" + struct.pack("<II", 1, 24),
-                                       b"adam_m/dec_bias" + struct.pack("<II", 24, 1)),
-                                      (b"\x08\x00dec_bias", b"\x08\x00dec_biaz")],
-                         ids=["step", "epoch", "config-key", "adam-tensor", "adam-shape",
-                              "param-tensor"])
+                                      (b'["dec_bias",1,24]', b'["dec_bias",24,1]'),
+                                      (b'["dec_bias",', b'["dec_biaz",')],
+                         ids=["step", "epoch", "config-key", "layout-shape", "param-tensor"])
 def test_checkpoint_with_wrong_metadata_fails_cleanly(workspace, tmp_path, capsys, old, new):
     data = workspace["checkpoint"].read_bytes()
     assert data.count(old) == 1
     bad = tmp_path / "bad.bin"
     bad.write_bytes(data.replace(old, new))
-    assert main(["salience", "--checkpoint", str(bad), "--sentence", "obj01 vis00"]) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"error: {bad}: truncated or corrupt checkpoint"]
+    assert _salience_errors(bad, capsys) == [f"error: {bad}: truncated or corrupt checkpoint"]
+
+
+@pytest.mark.parametrize("vector", [0, 1, 2], ids=["params", "adam-m", "adam-v"])
+def test_checkpoint_with_flipped_bit_fails_cleanly(workspace, tmp_path, capsys, vector):
+    data = bytearray(workspace["checkpoint"].read_bytes())
+    start = 16 + int.from_bytes(data[8:16], "little")
+    nbytes = (len(data) - start) // 3
+    data[start + vector * nbytes + nbytes // 2] ^= 0x01  # the lowest bit of one byte
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(data)
+    assert _salience_errors(bad, capsys) == [f"error: {bad}: truncated or corrupt checkpoint"]
+
+
+@pytest.mark.parametrize("offset, patch, message",
+                         [(4, struct.pack("<I", 1), "unsupported checkpoint version 1"),
+                          (0, b"GSCQ", "not a checkpoint file")],
+                         ids=["version-1", "bad-magic"])
+def test_checkpoint_of_other_format_fails_cleanly(workspace, tmp_path, capsys, offset, patch,
+                                                  message):
+    data = bytearray(workspace["checkpoint"].read_bytes())
+    data[offset : offset + len(patch)] = patch
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(data)
+    assert _salience_errors(bad, capsys) == [f"error: {bad}: {message}"]

@@ -1,9 +1,13 @@
 """Retrieval, salience, and embedding-export tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from groundsent.data import build_vocab, gen_synthetic, numericalize
+from groundsent.decoder import caption_nll
+from groundsent.encoder import encode_sentence
 from groundsent.evaluation import (
     ENCODE_CHUNK, embed_lines, encode_reps, mean_token_nll, ranks, retrieval_eval, salience,
     salient_hit_rate,
@@ -226,3 +230,17 @@ def test_mean_token_nll_zero_logits_is_log_vocab():
     params.decoder.out_b.data[:] = 0.0
     nll = mean_token_nll(params, samples)
     assert nll == pytest.approx(np.log(vocab.size), abs=1e-9)
+
+
+def test_mean_token_nll_matches_one_sample_at_a_time():
+    # targets paired with other sources' lengths over more than one chunk, so
+    # source length order, target length order and input order all differ
+    n = ENCODE_CHUNK + 6
+    _, _, _, params, samples = setup_model(n=n)
+    pool = [replace(s, tgt=samples[-1 - i].tgt) for i, s in enumerate(samples)]
+    assert sum(len(s.src) != len(s.tgt) for s in pool) > n // 2
+    total = sum(caption_nll(params.decoder, params.embeddings,
+                            encode_sentence(params.encoder, params.embeddings, s.src)[0].combined,
+                            s.tgt).item() for s in pool)
+    expected = total / sum(len(s.tgt) - 1 for s in pool)
+    assert mean_token_nll(params, pool) == pytest.approx(expected, rel=1e-12, abs=0)

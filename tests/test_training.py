@@ -365,16 +365,10 @@ def test_checkpoint_save_interrupted_midway_keeps_previous_file(tmp_path, monkey
     listing = sorted(os.listdir(path.parent))
     params, adam, cfg, vocab, epoch = ckpt.load(path)
 
-    write_tensor = ckpt._write_tensor
-    written = []
+    def fail_to_sync(fd):  # every byte is written to the temporary file, none is durable
+        raise OSError("disk full")
 
-    def fail_after_first_tensor(fh, name, arr):
-        if written:
-            raise OSError("disk full")
-        written.append(name)
-        write_tensor(fh, name, arr)
-
-    monkeypatch.setattr(ckpt, "_write_tensor", fail_after_first_tensor)
+    monkeypatch.setattr(os, "fsync", fail_to_sync)
     with pytest.raises(OSError, match="disk full"):
         ckpt.save(path, params, adam, cfg, vocab, epoch + 1)
     monkeypatch.undo()
