@@ -6,9 +6,11 @@ Lane layout as in the encoder: the (B, L) targets, right-padded with PAD,
 are read time-major, so row t*B + b of the step inputs, states and logits
 is step t of lane b. All input rows are projected by one matmul, the
 recurrence runs as one fused op (`encoder.run_lanes`) from the projected
-initial state, and all states reach the vocabulary through one fused
+initial state, and the states reach the vocabulary through one fused
 logits-and-NLL op (`cross_entropy_rows`). Steps whose target is PAD are
-masked out of the loss, so padding adds nothing to it and gets no gradient.
+dropped before the head, so padding adds nothing to the loss and gets no
+gradient. The head runs the kept rows in cache-sized chunks and, while a tape
+records, forms its gradients in the forward, so no (rows, V) array is made.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ from . import autodiff as ad
 from .autodiff import Matrix, ShapeError
 from .data import PAD
 from .encoder import LstmCellParams, project_inputs, run_lanes
+
+# Bytes of the vocabulary head's one (rows, V) chunk buffer: 52 rows at V = 20,000, few
+# enough to stay in cache, many enough that the per-chunk (V, d) out_w gradient update
+# is paid a few times a step (2 and 4 MB measured slower); small vocabularies run as one chunk.
+HEAD_CHUNK_BYTES = 1 << 23
 
 
 @dataclass
@@ -47,28 +54,48 @@ def cross_entropy_rows(states: Matrix, out_w: Matrix, out_b: Matrix, targets: np
                        keep: np.ndarray) -> Matrix:
     """Sum over kept rows of -log softmax(states @ out_w.T + out_b)[row, target], as 1x1.
 
-    The vocabulary head as one op. Forward fills one (rows, V) buffer in place
-    with the logits, then their max-shifted values, then the softmax; backward
-    turns it in place into g * (softmax - onehot), zero on dropped rows, and
-    accumulates that into states, out_w and out_b.
+    The vocabulary head as one op, over the kept rows only, in chunks of
+    HEAD_CHUNK_BYTES // (8 V) rows through one reused (chunk, V) buffer. Each
+    chunk computes its logits, shifts them by the row max, exponentiates them
+    in place and adds its rows' losses. While a tape records, the chunk then
+    turns the buffer into softmax - onehot and adds its share of the unscaled
+    gradients of states, out_w and out_b; the loss is linear in out.grad, so
+    backward only scales and accumulates them. Dropped rows get an exactly zero
+    states gradient.
     """
-    z = states.data @ out_w.data.T
-    z += out_b.data
-    z -= z.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    rows = np.arange(z.shape[0])
-    out = Matrix._wrap(np.array([[(logsumexp[:, 0] - z[rows, targets])[keep].sum()]]))
-    z -= logsumexp
-    soft = np.exp(z, out=z)
+    kept = np.flatnonzero(keep)
+    h, t, w = states.data[kept], targets[kept], out_w.data
+    chunk = max(1, HEAD_CHUNK_BYTES // (8 * w.shape[0]))
+    buf = np.empty((min(chunk, kept.size), w.shape[0]))
+    grads = ad.recording()
+    if grads:
+        g_h, g_w, g_b = np.empty_like(h), np.zeros_like(w), np.zeros_like(out_b.data)
+    total = 0.0
+    for start in range(0, kept.size, chunk):
+        part = slice(start, start + chunk)
+        hc, tc = h[part], t[part]
+        z = np.matmul(hc, w.T, out=buf[: hc.shape[0]])
+        z += out_b.data
+        z -= z.max(axis=1, keepdims=True)
+        rows = np.arange(z.shape[0])
+        target_z = z[rows, tc]
+        sums = np.exp(z, out=z).sum(axis=1, keepdims=True)
+        total += float((np.log(sums[:, 0]) - target_z).sum())
+        if grads:
+            z *= 1.0 / sums
+            z[rows, tc] -= 1.0
+            np.matmul(z, w, out=g_h[part])
+            g_w += z.T @ hc
+            g_b += z.sum(axis=0)
+    out = Matrix._wrap(np.array([[total]]))
 
     def backward():
-        g = soft  # becomes the logits gradient, in place
-        g[rows, targets] -= 1.0
-        g[~keep] = 0.0
-        g *= out.grad[0, 0]
-        states.accumulate(g @ out_w.data)
-        out_w.accumulate(g.T @ states.data)
-        out_b.accumulate(g.sum(axis=0, keepdims=True))
+        s = out.grad[0, 0]
+        g_states = np.zeros_like(states.data)
+        g_states[kept] = g_h * s
+        states.accumulate(g_states)
+        out_w.accumulate(np.multiply(g_w, s, out=g_w))
+        out_b.accumulate(np.multiply(g_b, s, out=g_b))
 
     ad.record("cross_entropy_rows", (states, out_w, out_b), out, backward)
     return out

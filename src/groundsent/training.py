@@ -175,11 +175,11 @@ def init_params(config: TrainConfig, vocab_size: int,
             raise ValueError(
                 f"embedding table is {embedding_table.weights.shape}, expected ({v}, {d_e})"
             )
-        emb = Matrix(embedding_table.weights.data.copy())
+        emb = Matrix(embedding_table.weights.data)
     else:
         weights = rng.uniform(-0.1, 0.1, size=(v, d_e))
         weights[PAD] = 0.0
-        emb = Matrix(weights)
+        emb = Matrix._wrap(weights)
 
     encoder = EncoderParams(
         forward_cell=_init_cell(rng, d_e, d),

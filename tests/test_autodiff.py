@@ -297,6 +297,19 @@ def test_tape_is_private_to_its_thread():
     assert recorded == [0]
 
 
+def test_recording_is_true_only_inside_this_threads_tape():
+    assert not ad.recording()
+    seen = []
+    with Tape():
+        assert ad.recording()
+        thread = threading.Thread(target=lambda: seen.append(ad.recording()))
+        thread.start()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert seen == [False]
+    assert not ad.recording()
+
+
 def test_backward_rejects_non_scalar():
     with Tape() as tape:
         out = ad.tanh(Matrix([[1.0, 2.0]]))

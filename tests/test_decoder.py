@@ -1,11 +1,13 @@
 """Decoder language-model tests."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from groundsent import autodiff as ad
+from groundsent import decoder
 from groundsent.autodiff import Matrix, Tape, grad_check
 from groundsent.data import BOS, EOS, PAD, pad_sequences
 from groundsent.decoder import DecoderParams, caption_nll, cross_entropy_rows, init_state
@@ -172,3 +174,79 @@ def test_head_dropped_row_gets_exactly_zero_states_gradient():
     assert np.abs(states.grad[keep]).min() > 0
     other_target = cross_entropy_rows(states, out_w, out_b, np.array([1, 0, 4]), keep)
     assert other_target.item() == loss.item()
+
+
+def head_with_grads(states, out_w, out_b, targets, keep):
+    """Loss and the (states, out_w, out_b) gradients of one taped head call, on fresh copies."""
+    s, w, b = (Matrix(m) for m in (states, out_w, out_b))
+    with Tape() as tape:
+        loss = cross_entropy_rows(s, w, b, targets, keep)
+        tape.backward(loss)
+    return loss.item(), s.grad, w.grad, b.grad
+
+
+def test_head_appended_dropped_rows_change_nothing():
+    # a batch whose last rows are all PAD: the same loss and weight gradients, bit for bit
+    rng = np.random.default_rng(14)
+    states, out_w, out_b = (rng.standard_normal(s) for s in ((5, 4), (7, 4), (1, 7)))
+    targets, keep = np.array([1, 6, 0, 3, 2]), np.array([True, True, False, True, True])
+    loss, g_s, g_w, g_b = head_with_grads(states, out_w, out_b, targets, keep)
+    extra = rng.standard_normal((3, 4))
+    padded = head_with_grads(np.vstack([states, extra]), out_w, out_b,
+                             np.concatenate([targets, [PAD] * 3]),
+                             np.concatenate([keep, [False] * 3]))
+    assert padded[0] == loss
+    np.testing.assert_array_equal(padded[1][:5], g_s)
+    np.testing.assert_array_equal(padded[1][5:], np.zeros((3, 4)))
+    np.testing.assert_array_equal(padded[2], g_w)
+    np.testing.assert_array_equal(padded[3], g_b)
+
+
+def test_head_with_no_kept_rows_is_zero_without_warnings():
+    rng = np.random.default_rng(15)
+    states, out_w, out_b = (rng.standard_normal(s) for s in ((3, 4), (5, 4), (1, 5)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, g_s, g_w, g_b = head_with_grads(states, out_w, out_b, np.array([1, 2, 3]),
+                                              np.zeros(3, bool))
+    assert loss == 0.0
+    for g in (g_s, g_w, g_b):
+        np.testing.assert_array_equal(g, np.zeros_like(g))
+
+
+def test_head_across_chunk_boundaries_matches_one_chunk(monkeypatch):
+    rng = np.random.default_rng(16)
+    v = 6
+    states, out_w, out_b = (rng.standard_normal(s) for s in ((11, 4), (v, 4), (1, v)))
+    targets = rng.integers(0, v, 11)
+    keep = np.array([1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 1], bool)  # 7 kept rows, dropped between
+    whole = head_with_grads(states, out_w, out_b, targets, keep)
+    monkeypatch.setattr(decoder, "HEAD_CHUNK_BYTES", 8 * v * 3 - 1)  # 2 rows per chunk
+    chunked = head_with_grads(states, out_w, out_b, targets, keep)
+    assert chunked[0] == pytest.approx(whole[0], rel=1e-12, abs=0)
+    for g_chunked, g_whole in zip(chunked[1:], whole[1:]):
+        np.testing.assert_allclose(g_chunked, g_whole, rtol=1e-12, atol=1e-15)
+    np.testing.assert_array_equal(chunked[1][~keep], np.zeros((4, 4)))
+    inputs = [Matrix(m) for m in (states, out_w, out_b)]
+    for k, theta in enumerate(inputs):
+        def f(t, k=k):
+            args = inputs[:k] + [t] + inputs[k + 1:]
+            return cross_entropy_rows(*args, targets, keep)
+        assert grad_check(f, theta) < 1e-4
+
+
+def test_head_without_a_tape_does_no_gradient_work():
+    rng = np.random.default_rng(17)
+    v = 20_000
+    states, out_w, out_b = (Matrix(rng.standard_normal(s)) for s in ((9, 32), (v, 32), (1, v)))
+    targets, keep = rng.integers(0, v, 9), rng.random(9) > 0.3
+    tracemalloc.start()
+    try:
+        bare = cross_entropy_rows(states, out_w, out_b, targets, keep).item()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out_w.data.nbytes / 2  # no (V, d) gradient was allocated
+    with Tape():
+        taped = cross_entropy_rows(states, out_w, out_b, targets, keep).item()
+    assert bare == taped

@@ -1,6 +1,7 @@
 """Initialization, optimizer, composite objective, and training-loop tests."""
 
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,16 @@ def test_every_tensor_named_exactly_once():
     _, params, _, _, _ = tiny_setup()
     named = params.named()
     assert len({id(m) for m in named.values()}) == len(named)
+
+
+def test_init_params_holds_one_copy_of_the_embedding_table_besides_the_vector():
+    tracemalloc.start()
+    try:
+        params = init_params(TrainConfig(d_e=300), 5_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * params.values.vector.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +273,25 @@ def test_pad_row_gradient_is_exactly_zero():
             tape.backward(loss)
         assert np.all(params.embeddings.grad[PAD] == 0.0)
         assert np.any(params.embeddings.grad != 0.0)
+
+
+def test_train_step_never_allocates_a_dense_vocabulary_buffer():
+    # the head runs in chunks: no (T*B, V) array, though the V-wide tensors are allocated
+    config = TrainConfig(batch_size=32, seed=0)
+    corpus = gen_synthetic(64, 8, config.d_img, seed=0)
+    batch = make_batches(numericalize(corpus, build_vocab(corpus, 1)), 32, seed=0)[0]
+    v = 20_000
+    params = init_params(config, v)
+    adam = AdamState.for_params(params)
+    tracemalloc.start()
+    try:
+        train_step(batch, params, adam, config, rng=np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = batch.size * (batch.tgt.shape[1] - 1)
+    net = peak - 2 * params.values.vector.nbytes  # this step's and the next step's gradients
+    assert net < rows * v * 8
 
 
 def test_composite_rejects_unknown_objective():
