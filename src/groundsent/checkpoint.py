@@ -3,7 +3,9 @@
 Layout (little-endian):
     magic  b"GSCP"
     u32    format version
-    u64    metadata length, then that many bytes of canonical JSON
+    u64    metadata length
+    u32    CRC-32 of the metadata
+    ...    the metadata, canonical JSON
     f8     the parameter vector, then Adam's m and v, each `FlatTensors.vector`
 
 The JSON block holds the train config and its hash, the epoch/step counters
@@ -11,7 +13,8 @@ and the vocabulary (content tokens in id order), so evaluation surfaces can
 run from a checkpoint alone. It also holds the layout the three vectors
 share, `[[name, rows, cols], ...]` in `ModelParameters.named()` order, and
 one CRC-32 per vector. Each vector is written with one call and read with
-one `readinto`; a file whose length, layout or CRCs disagree is refused.
+one `readinto`; a file whose length, layout or CRCs (of the metadata or of a
+vector) disagree is refused.
 
 Saving is canonical: writing a just-loaded checkpoint reproduces the
 original bytes. Saving is also crash-safe: the bytes go to a temporary file
@@ -31,7 +34,8 @@ from .data import Vocabulary
 from .training import AdamState, FlatTensors, ModelParameters, TrainConfig, init_params
 
 MAGIC = b"GSCP"
-VERSION = 2
+VERSION = 3
+_HEADER = struct.Struct("<4sIQI")  # magic, version, metadata length, metadata CRC-32
 
 
 def _canonical_json(obj) -> bytes:
@@ -68,7 +72,7 @@ def save(path, params: ModelParameters, adam: AdamState, config: TrainConfig,
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(MAGIC + struct.pack("<IQ", VERSION, len(blob)) + blob)
+            fh.write(_HEADER.pack(MAGIC, VERSION, len(blob), zlib.crc32(blob)) + blob)
             for vector in vectors:
                 fh.write(vector)
             fh.flush()
@@ -83,18 +87,20 @@ def load(path) -> tuple[ModelParameters, AdamState, TrainConfig, Vocabulary, int
     """Read a checkpoint; a truncated, padded or inconsistent file raises ValueError."""
     corrupt = ValueError(f"{path}: truncated or corrupt checkpoint")
     with open(path, "rb") as fh:
-        header = fh.read(16)
+        header = fh.read(_HEADER.size)
         if header[:4] != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        if len(header) != 16:
+        if len(header) != _HEADER.size:
             raise corrupt
-        version, meta_len = struct.unpack("<IQ", header[4:])
+        _, version, meta_len, meta_crc = _HEADER.unpack(header)
         if version != VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         size = os.fstat(fh.fileno()).st_size
+        blob = fh.read(min(meta_len, size))  # bounded by the file's size
+        if zlib.crc32(blob) != meta_crc:
+            raise corrupt  # cut, overlong or edited
         try:
-            # a read bounded by the file's size; a cut or overlong block fails to parse
-            meta = json.loads(fh.read(min(meta_len, size)))
+            meta = json.loads(blob)
             config = TrainConfig(**meta["config"])
             step, epoch, vocab = int(meta["step"]), int(meta["epoch"]), Vocabulary(meta["vocab"])
             layout, crcs = meta["layout"], meta["crc32"]

@@ -18,10 +18,8 @@ def _add_dim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d-a", type=int, default=16, help="attention hidden width")
     p.add_argument("--n-a", type=int, default=4, help="number of attention heads")
     p.add_argument("--d-e", type=int, default=32, help="word embedding width")
-    p.add_argument("--d-img", type=int, default=None,
-                   help="image feature width (default: from the corpus)")
     p.add_argument("--d-p", type=int, default=None,
-                   help="projection hidden width (default: d-img)")
+                   help="projection hidden width (default: the corpus's image width)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,10 +82,9 @@ def _cmd_gen_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     corpus = Corpus.load(args.corpus)
-    d_img = args.d_img if args.d_img is not None else corpus.d_img
     config = TrainConfig(
         objective=args.objective, d_cell=args.d_cell, d_a=args.d_a, n_a=args.n_a,
-        d_e=args.d_e, d_img=d_img, d_p=args.d_p, batch_size=args.batch, lr=args.lr,
+        d_e=args.d_e, d_img=corpus.d_img, d_p=args.d_p, batch_size=args.batch, lr=args.lr,
         beta1=args.beta1, beta2=args.beta2, adam_eps=args.adam_eps, clip=args.clip,
         epochs=args.epochs, seed=args.seed, dropout=args.dropout,
     )

@@ -24,12 +24,16 @@ _STRIP_CHARS = '.,!?;:"()'
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase, split on whitespace, strip leading/trailing punctuation."""
+    """Lowercase, split on whitespace, strip leading/trailing punctuation.
+
+    A reserved string in the text ("<pad>", "<bos>", ...) reads as "<unk>", so it
+    never enters a vocabulary and never encodes as padding or a sentence boundary.
+    """
     out = []
     for raw in text.lower().split():
         tok = raw.strip(_STRIP_CHARS)
         if tok:
-            out.append(tok)
+            out.append(RESERVED[UNK] if tok in RESERVED else tok)
     return out
 
 
@@ -70,7 +74,7 @@ def build_vocab(corpus: "Corpus", min_count: int = 1) -> Vocabulary:
     for rec in corpus.records:
         counts.update(tokenize(rec.src))
         counts.update(tokenize(rec.tgt))
-    kept = [t for t, c in counts.items() if c >= min_count]
+    kept = [t for t, c in counts.items() if c >= min_count and t not in RESERVED]
     kept.sort(key=lambda t: (-counts[t], t))
     return Vocabulary(kept)
 
@@ -263,13 +267,11 @@ def gen_synthetic(n: int, v_content: int, d_img: int, seed: int) -> Corpus:
 
 @dataclass
 class Batch:
-    """Padded id arrays plus masks; every other sample is an in-batch negative."""
+    """Padded id arrays; every other sample is an in-batch negative."""
 
     ids: list[str]
     src: np.ndarray        # (B, Ts) int, PAD-padded
-    src_mask: np.ndarray   # (B, Ts) bool, True on real tokens
-    tgt: np.ndarray
-    tgt_mask: np.ndarray
+    tgt: np.ndarray        # (B, Tt) int, PAD-padded
     images: np.ndarray     # (B, d_img)
 
     def __post_init__(self):
@@ -282,6 +284,15 @@ class Batch:
     def size(self) -> int:
         return len(self.ids)
 
+    @property
+    def src_mask(self) -> np.ndarray:
+        """(B, Ts) bool, True on real tokens."""
+        return self.src != PAD
+
+    @property
+    def tgt_mask(self) -> np.ndarray:
+        return self.tgt != PAD
+
     def src_ids(self, k: int) -> np.ndarray:
         return self.src[k, self.src_mask[k]]
 
@@ -289,15 +300,12 @@ class Batch:
         return self.tgt[k, self.tgt_mask[k]]
 
 
-def pad_sequences(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(B, T) ids right-padded with PAD, and the (B, T) mask of real tokens."""
-    width = max(len(s) for s in seqs)
-    ids = np.full((len(seqs), width), PAD, dtype=np.int64)
-    mask = np.zeros((len(seqs), width), dtype=bool)
+def pad_sequences(seqs: list[np.ndarray]) -> np.ndarray:
+    """(B, T) ids right-padded with PAD."""
+    ids = np.full((len(seqs), max(len(s) for s in seqs)), PAD, dtype=np.int64)
     for i, s in enumerate(seqs):
         ids[i, : len(s)] = s
-        mask[i, : len(s)] = True
-    return ids, mask
+    return ids
 
 
 def make_batches(samples: list[Sample], batch_size: int, seed: int, epoch: int = 0) -> list[Batch]:
@@ -314,13 +322,11 @@ def make_batches(samples: list[Sample], batch_size: int, seed: int, epoch: int =
         chunk = [samples[i] for i in order[start : start + batch_size]]
         if len(chunk) < 2:
             break
-        src, src_mask = pad_sequences([s.src for s in chunk])
-        tgt, tgt_mask = pad_sequences([s.tgt for s in chunk])
         batches.append(
             Batch(
                 ids=[s.id for s in chunk],
-                src=src, src_mask=src_mask,
-                tgt=tgt, tgt_mask=tgt_mask,
+                src=pad_sequences([s.src for s in chunk]),
+                tgt=pad_sequences([s.tgt for s in chunk]),
                 images=np.stack([s.img for s in chunk]),
             )
         )

@@ -48,19 +48,6 @@ class EncoderParams:
     attn_heads: Matrix  # (n_a, d_a)
 
 
-@dataclass
-class AttentionOutput:
-    weights: np.ndarray  # (B, n_a, T), each row a distribution over the lane's real steps
-    contexts: Matrix     # (B*n_a, d_cell), row b*n_a + i = head i's weighted state sum
-
-
-@dataclass
-class SentenceRepresentation:
-    attended: Matrix   # (B, d_cell)
-    recurrent: Matrix  # (B, d_cell)
-    combined: Matrix   # (B, 2*d_cell) = concat(attended, recurrent)
-
-
 def project_inputs(cell: LstmCellParams, xs: Matrix) -> Matrix:
     """Input part of the gate pre-activations of all rows at once: xs @ input_w + bias."""
     return ad.add_rowvec(ad.matmul(xs, cell.input_w), cell.bias)
@@ -195,28 +182,27 @@ def masked_attention(scores: Matrix, states: Matrix, mask: np.ndarray):
     return out, w
 
 
-def attend(attn_proj: Matrix, attn_heads: Matrix, states: Matrix,
-           mask: np.ndarray) -> AttentionOutput:
-    """Score each state row with tanh(state @ attn_proj.T) @ attn_heads.T, then attend per lane."""
+def attend(attn_proj: Matrix, attn_heads: Matrix, states: Matrix, mask: np.ndarray):
+    """Score each state row with tanh(state @ attn_proj.T) @ attn_heads.T, then attend per lane.
+
+    Returns (contexts (B*n_a, d_cell), weights (B, n_a, T)), as `masked_attention`.
+    """
     scores = ad.matmul(ad.tanh(ad.matmul(states, ad.transpose(attn_proj))),
                        ad.transpose(attn_heads))
-    contexts, weights = masked_attention(scores, states, mask)
-    return AttentionOutput(weights=weights, contexts=contexts)
+    return masked_attention(scores, states, mask)
 
 
-def compose(attn: AttentionOutput, h_s: Matrix) -> SentenceRepresentation:
-    """Max-pool each lane's context vectors and concatenate with its recurrent summary."""
-    h_a = ad.reduce_max_rows(attn.contexts, h_s.rows)
-    return SentenceRepresentation(attended=h_a, recurrent=h_s,
-                                  combined=ad.concat_rows(h_a, h_s))
+def compose(contexts: Matrix, h_s: Matrix) -> Matrix:
+    """concat(max over each lane's context rows, its recurrent summary), (B, 2*d_cell)."""
+    return ad.concat_rows(ad.reduce_max_rows(contexts, h_s.rows), h_s)
 
 
 def encode_sentence(params: EncoderParams, embeddings: Matrix, token_ids):
     """Full pipeline over one id sequence or a PAD-padded (B, T) batch: encode -> attend -> compose.
 
-    Returns (representation, attention), one row of the representation per lane.
+    Returns (representation (B, 2*d_cell), attention weights (B, n_a, T)), one row per lane.
     """
     ids = np.atleast_2d(np.asarray(token_ids, dtype=np.int64))
     states, h_s = encode(params, embeddings, ids)
-    attn = attend(params.attn_proj, params.attn_heads, states, ids != PAD)
-    return compose(attn, h_s), attn
+    contexts, weights = attend(params.attn_proj, params.attn_heads, states, ids != PAD)
+    return compose(contexts, h_s), weights

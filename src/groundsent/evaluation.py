@@ -63,15 +63,14 @@ def _chunks(seqs: list[np.ndarray]):
     order = np.argsort([len(s) for s in seqs], kind="stable")
     for start in range(0, len(seqs), ENCODE_CHUNK):
         rows = order[start : start + ENCODE_CHUNK]
-        yield rows, pad_sequences([seqs[i] for i in rows])[0]
+        yield rows, pad_sequences([seqs[i] for i in rows])
 
 
 def _encode_ids(params: ModelParameters, seqs: list[np.ndarray]) -> np.ndarray:
     """Combined representation of each id sequence, (n, 2*d_cell), in input order."""
     reps = np.zeros((len(seqs), 2 * params.encoder.forward_cell.hidden_dim))
     for rows, ids in _chunks(seqs):
-        rep, _ = encode_sentence(params.encoder, params.embeddings, ids)
-        reps[rows] = rep.combined.data
+        reps[rows] = encode_sentence(params.encoder, params.embeddings, ids)[0].data
     return reps
 
 
@@ -133,8 +132,8 @@ def salience(params: ModelParameters, vocab: Vocabulary, sentence: str) -> Salie
     ids = vocab.encode(sentence)
     if not any(i != UNK for i in ids[1:-1]):
         raise ValueError("sentence has no in-vocabulary tokens")
-    _, attn = encode_sentence(params.encoder, params.embeddings, ids)
-    real = attn.weights[0, :, 1:-1]
+    _, weights = encode_sentence(params.encoder, params.embeddings, ids)
+    real = weights[0, :, 1:-1]
     real = real / real.sum(axis=1, keepdims=True)
     return SalienceRecord(tokens=tokens, attention=real, pooled=real.max(axis=0))
 

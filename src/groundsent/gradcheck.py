@@ -157,8 +157,8 @@ def _model_checks(seed: int) -> list[CheckResult]:
     readout_ctx = _readout(rng, (2 * config.n_a, config.d_cell))
 
     def attend_fn(_):
-        out = attend(params.encoder.attn_proj, params.encoder.attn_heads, H, mask)
-        return ad.sum_all(ad.mul(readout_ctx, out.contexts))
+        contexts, _ = attend(params.encoder.attn_proj, params.encoder.attn_heads, H, mask)
+        return ad.sum_all(ad.mul(readout_ctx, contexts))
 
     worst = max(grad_check(attend_fn, theta)
                 for theta in (params.encoder.attn_proj, params.encoder.attn_heads, H))
@@ -168,7 +168,7 @@ def _model_checks(seed: int) -> list[CheckResult]:
 
     def pipeline(_):
         rep, _ = encode_sentence(params.encoder, params.embeddings, batch.src)
-        return ad.sum_all(ad.mul(readout_rep, rep.combined))
+        return ad.sum_all(ad.mul(readout_rep, rep))
 
     worst = max(grad_check(pipeline, theta)
                 for theta in (params.embeddings, params.encoder.forward_cell.recur_w,
@@ -182,8 +182,9 @@ def _model_checks(seed: int) -> list[CheckResult]:
         return caption_nll(params.decoder, params.embeddings, rep_fixed, batch.tgt)
 
     worst = max(grad_check(nll_fn, theta)
-                for theta in (params.decoder.init_h_proj, params.decoder.cell.recur_w,
-                              params.decoder.out_w, params.decoder.out_b, rep_fixed))
+                for theta in (params.decoder.init_h_proj, params.decoder.init_c_proj,
+                              params.decoder.cell.recur_w, params.decoder.out_w,
+                              params.decoder.out_b, params.embeddings, rep_fixed))
     results.append(CheckResult("caption_nll", worst))
 
     preds = Matrix(rng.standard_normal((3, config.d_img)))
@@ -199,7 +200,8 @@ def _model_checks(seed: int) -> list[CheckResult]:
         return grounding_loss(reps3, images3, params.projection)
 
     worst = max(grad_check(ground_fn, theta)
-                for theta in (reps3, params.projection.weights[0], params.projection.weights[3]))
+                for theta in (reps3, params.projection.weights[0], params.projection.weights[3],
+                              params.projection.biases[0], params.projection.biases[1]))
     results.append(CheckResult("grounding_loss", worst))
 
     for objective in ("cap2cap", "cap2img", "cap2all"):

@@ -219,8 +219,7 @@ def composite_loss(objective: str, batch: Batch, params: ModelParameters,
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    rep, _ = encode_sentence(params.encoder, params.embeddings, batch.src)
-    reps = rep.combined
+    reps, _ = encode_sentence(params.encoder, params.embeddings, batch.src)
 
     terms = []
     loss_c = loss_vg = 0.0

@@ -1,4 +1,7 @@
-"""Forward values and finite-difference gradient checks for the autodiff ops."""
+"""Forward values, tape semantics and the `grad_check` oracle of the autodiff ops.
+
+Each op's finite-difference check runs in the gradcheck suite (tests/test_gradcheck.py).
+"""
 
 import threading
 
@@ -7,23 +10,7 @@ import pytest
 
 from groundsent import autodiff as ad
 from groundsent.autodiff import Matrix, ShapeError, Tape, grad_check
-from groundsent.gradcheck import TOLERANCE, run_suite
 from groundsent.grounding import cosine_matrix
-
-TOL = 1e-6  # relative error bound for single-op finite-difference checks
-
-
-def rng_for(seed):
-    return np.random.default_rng(seed)
-
-
-def check_op(build, n_points=10, tol=TOL):
-    """Run grad_check at random points; build(rng) -> (f, theta)."""
-    worst = 0.0
-    for seed in range(n_points):
-        f, theta = build(rng_for(seed))
-        worst = max(worst, grad_check(f, theta))
-    assert worst < tol, f"max relative error {worst:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -44,21 +31,6 @@ def test_matmul_hand_case():
 def test_matmul_shape_mismatch_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
         ad.matmul(Matrix(np.zeros((2, 3))), Matrix(np.zeros((2, 3))))
-
-
-def test_matmul_grad_both_sides():
-    def wrt_a(rng):
-        a = Matrix(rng.standard_normal((3, 4)))
-        b = Matrix(rng.standard_normal((4, 2)))
-        return lambda t: ad.sum_all(ad.matmul(t, b)), a
-
-    def wrt_b(rng):
-        a = Matrix(rng.standard_normal((3, 4)))
-        b = Matrix(rng.standard_normal((4, 2)))
-        return lambda t: ad.sum_all(ad.matmul(a, t)), b
-
-    check_op(wrt_a)
-    check_op(wrt_b)
 
 
 # ---------------------------------------------------------------------------
@@ -89,40 +61,6 @@ def test_binary_shape_mismatch():
         ad.add(Matrix(np.zeros((2, 2))), Matrix(np.zeros((2, 3))))
 
 
-@pytest.mark.parametrize("op", [ad.tanh, ad.relu])
-def test_unary_grads(op):
-    def build(rng):
-        # keep away from the relu kink
-        x = Matrix(rng.standard_normal((2, 3)) + np.sign(rng.standard_normal((2, 3))) * 0.1)
-        w = Matrix(rng.standard_normal((2, 3)))
-        return lambda t: ad.sum_all(ad.mul(w, op(t))), x
-
-    check_op(build)
-
-
-@pytest.mark.parametrize(
-    "op",
-    [ad.add, ad.mul, lambda a, b: ad.max2(a, b)],
-    ids=["add", "mul", "max2"],
-)
-def test_binary_grads(op):
-    def wrt_first(rng):
-        a = Matrix(rng.standard_normal((3, 2)))
-        b = Matrix(rng.standard_normal((3, 2)))
-        w = Matrix(rng.standard_normal((3, 2)))
-        return lambda t: ad.sum_all(ad.mul(w, op(t, b))), a
-
-    check_op(wrt_first)
-
-
-def test_scale_grad():
-    def build(rng):
-        x = Matrix(rng.standard_normal((2, 4)))
-        return lambda t: ad.sum_all(ad.scale(t, -2.5)), x
-
-    check_op(build)
-
-
 # ---------------------------------------------------------------------------
 # reductions / reshaping
 
@@ -141,16 +79,6 @@ def test_reduce_max_rows_definition():
 def test_reduce_max_rows_rejects_empty():
     with pytest.raises(ShapeError):
         ad.reduce_max_rows(Matrix(np.zeros((0, 3))))
-
-
-def test_reduce_max_rows_grad():
-    def build(rng):
-        # distinct entries keep the check away from argmax ties
-        x = Matrix(rng.permutation(12).reshape(3, 4) + 0.1 * rng.standard_normal((3, 4)))
-        w = Matrix(rng.standard_normal((1, 4)))
-        return lambda t: ad.sum_all(ad.mul(w, ad.reduce_max_rows(t))), x
-
-    check_op(build)
 
 
 def test_concat_rows_definition():
@@ -178,40 +106,12 @@ def test_concat_rows_backward_splits():
     np.testing.assert_array_equal(b.grad, [[1.0]])
 
 
-def test_transpose_grad():
-    def build(rng):
-        x = Matrix(rng.standard_normal((2, 3)))
-        w = Matrix(rng.standard_normal((3, 2)))
-        return lambda t: ad.sum_all(ad.mul(w, ad.transpose(t))), x
-
-    check_op(build)
-
-
 def test_select_rows_accumulates_duplicates():
     m = Matrix(np.arange(6.0).reshape(3, 2))
     with Tape() as tape:
         out = ad.select_rows(m, [1, 1, 2])
         tape.backward(ad.sum_all(out))
     np.testing.assert_array_equal(m.grad, [[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]])
-
-
-def test_add_rowvec_grad():
-    def build(rng):
-        m = Matrix(rng.standard_normal((3, 4)))
-        v = Matrix(rng.standard_normal((1, 4)))
-        w = Matrix(rng.standard_normal((3, 4)))
-        return lambda t: ad.sum_all(ad.mul(w, ad.add_rowvec(m, t))), v
-
-    check_op(build)
-
-
-def test_normalize_rows_grad():
-    def build(rng):
-        x = Matrix(rng.standard_normal((3, 4)) + 0.5)
-        w = Matrix(rng.standard_normal((3, 4)))
-        return lambda t: ad.sum_all(ad.mul(w, ad.normalize_rows(t))), x
-
-    check_op(build)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +269,3 @@ def test_grad_check_rejects_non_scalar():
         grad_check(lambda t: ad.tanh(t), theta)
 
 
-def test_gradcheck_suite_passes():
-    results = run_suite()
-    failed = {r.name: r.max_rel_error for r in results if not r.max_rel_error < TOLERANCE}
-    assert results and not failed

@@ -86,6 +86,18 @@ def test_salience_json_schema(workspace, capsys):
         assert sum(row) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_inference_reads_reserved_strings_as_unknown(workspace, tmp_path, capsys):
+    assert main(["salience", "--checkpoint", str(workspace["checkpoint"]),
+                 "--sentence", "<pad> vis00 obj01"]) == 0
+    assert json.loads(capsys.readouterr().out)["tokens"] == ["<unk>", "vis00", "obj01"]
+    sentences, out = tmp_path / "sents.txt", tmp_path / "vecs.txt"
+    sentences.write_text("vis00 <pad> obj01\nvis00 <eos> obj01\n")
+    assert main(["embed", "--checkpoint", str(workspace["checkpoint"]),
+                 "--input", str(sentences), "--output", str(out)]) == 0
+    first, second = out.read_text().splitlines()
+    assert first == second
+
+
 def test_salience_oov_sentence_fails_cleanly(workspace, capsys):
     assert main(["salience", "--checkpoint", str(workspace["checkpoint"]),
                  "--sentence", "zzz qqq"]) == 1
@@ -111,14 +123,6 @@ def test_embed_empty_input(workspace, tmp_path):
     assert main(["embed", "--checkpoint", str(workspace["checkpoint"]),
                  "--input", str(empty), "--output", str(out)]) == 0
     assert out.read_text() == ""
-
-
-def test_train_rejects_mismatched_d_img(workspace, capsys):
-    code = main(["train", "--corpus", str(workspace["corpus"]),
-                 "--out", str(workspace["run"].parent / "bad"), "--epochs", "1",
-                 "--batch", "4", "--d-img", "99", *SMALL_DIMS])
-    assert code == 1
-    assert "d_img" in capsys.readouterr().err
 
 
 def test_missing_corpus_fails_cleanly(capsys):
@@ -148,6 +152,16 @@ def test_train_on_corpus_with_duplicate_ids_fails_before_writing(workspace, tmp_
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: corpus line {len(lines) + 1}: duplicate id")
     assert not run.exists()
+
+
+def test_train_on_captions_with_reserved_strings(workspace, tmp_path):
+    lines = workspace["corpus"].read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["src"], rec["tgt"] = f"<unk> {rec['src']} <pad>", f"<bos> {rec['tgt']} <eos>"
+    corpus = tmp_path / "reserved.jsonl"
+    corpus.write_text("\n".join([lines[0], json.dumps(rec), *lines[2:]]) + "\n")
+    assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "run"),
+                 "--epochs", "1", "--batch", "4", *SMALL_DIMS]) == 0
 
 
 def test_train_on_corpus_without_d_img_fails_cleanly(tmp_path, capsys):
@@ -187,8 +201,11 @@ def _salience_errors(path, capsys) -> list[str]:
 @pytest.mark.parametrize("old, new", [(b'"step"', b'"stdp"'), (b'"epoch"', b'"epocx"'),
                                       (b'"dropout"', b'"dropoux"'),
                                       (b'["dec_bias",1,24]', b'["dec_bias",24,1]'),
-                                      (b'["dec_bias",', b'["dec_biaz",')],
-                         ids=["step", "epoch", "config-key", "layout-shape", "param-tensor"])
+                                      (b'["dec_bias",', b'["dec_biaz",'),
+                                      (b'"obj01"', b'"obj0X"'), (b'"step":10', b'"step":17'),
+                                      (b'"epoch":2', b'"epoch":5')],
+                         ids=["step", "epoch", "config-key", "layout-shape", "param-tensor",
+                              "vocab-token", "step-value", "epoch-value"])
 def test_checkpoint_with_wrong_metadata_fails_cleanly(workspace, tmp_path, capsys, old, new):
     data = workspace["checkpoint"].read_bytes()
     assert data.count(old) == 1
@@ -200,7 +217,7 @@ def test_checkpoint_with_wrong_metadata_fails_cleanly(workspace, tmp_path, capsy
 @pytest.mark.parametrize("vector", [0, 1, 2], ids=["params", "adam-m", "adam-v"])
 def test_checkpoint_with_flipped_bit_fails_cleanly(workspace, tmp_path, capsys, vector):
     data = bytearray(workspace["checkpoint"].read_bytes())
-    start = 16 + int.from_bytes(data[8:16], "little")
+    start = 20 + int.from_bytes(data[8:16], "little")  # after the header and the metadata
     nbytes = (len(data) - start) // 3
     data[start + vector * nbytes + nbytes // 2] ^= 0x01  # the lowest bit of one byte
     bad = tmp_path / "bad.bin"
@@ -210,8 +227,9 @@ def test_checkpoint_with_flipped_bit_fails_cleanly(workspace, tmp_path, capsys, 
 
 @pytest.mark.parametrize("offset, patch, message",
                          [(4, struct.pack("<I", 1), "unsupported checkpoint version 1"),
+                          (4, struct.pack("<I", 2), "unsupported checkpoint version 2"),
                           (0, b"GSCQ", "not a checkpoint file")],
-                         ids=["version-1", "bad-magic"])
+                         ids=["version-1", "version-2", "bad-magic"])
 def test_checkpoint_of_other_format_fails_cleanly(workspace, tmp_path, capsys, offset, patch,
                                                   message):
     data = bytearray(workspace["checkpoint"].read_bytes())

@@ -5,7 +5,7 @@ import pytest
 
 from groundsent import data
 from groundsent.data import (
-    BOS, EOS, PAD, UNK, Corpus, CaptionRecord, Vocabulary,
+    BOS, EOS, PAD, UNK, Corpus, CaptionRecord,
     build_vocab, gen_synthetic, load_embeddings, make_batches, numericalize,
     token_codes, tokenize,
 )
@@ -69,6 +69,17 @@ def test_build_vocab_frequency_then_lexicographic():
     vocab = build_vocab(corpus_of(["b b a a c"]), min_count=1)
     # a and b tie on frequency -> lexicographic; c is rarer -> last
     assert [vocab.id_of(t) for t in ("a", "b", "c")] == [4, 5, 6]
+
+
+def test_build_vocab_skips_reserved_strings_in_text():
+    vocab = build_vocab(corpus_of(["a <unk> <pad>", "<BOS> b <eos>"]), 1)
+    assert vocab.content_tokens() == ["a", "b"]
+
+
+def test_encode_reads_reserved_strings_as_unk():
+    vocab = build_vocab(corpus_of(["a b"]), 1)
+    ids = vocab.encode("a <pad> b <bos> <EOS>, <unk>")
+    np.testing.assert_array_equal(ids, [BOS, 4, UNK, 5, UNK, UNK, UNK, EOS])
 
 
 def test_build_vocab_empty_corpus_rejected():

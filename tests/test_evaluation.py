@@ -240,7 +240,7 @@ def test_mean_token_nll_matches_one_sample_at_a_time():
     pool = [replace(s, tgt=samples[-1 - i].tgt) for i, s in enumerate(samples)]
     assert sum(len(s.src) != len(s.tgt) for s in pool) > n // 2
     total = sum(caption_nll(params.decoder, params.embeddings,
-                            encode_sentence(params.encoder, params.embeddings, s.src)[0].combined,
+                            encode_sentence(params.encoder, params.embeddings, s.src)[0],
                             s.tgt).item() for s in pool)
     expected = total / sum(len(s.tgt) - 1 for s in pool)
     assert mean_token_nll(params, pool) == pytest.approx(expected, rel=1e-12, abs=0)

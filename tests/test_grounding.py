@@ -80,19 +80,6 @@ def test_project_exactly_four_layers_enforced():
                          biases=[Matrix(np.zeros((1, 2)))] * 3)
 
 
-def test_project_gradient_check_eval_mode():
-    rng = np.random.default_rng(5)
-    proj = make_projection(6, 4, 3, rng)
-    reps = Matrix(rng.standard_normal((2, 6)))
-    readout = Matrix(rng.standard_normal((2, 3)))
-
-    def run(_):
-        return ad.sum_all(ad.mul(readout, project(proj, reps)))
-
-    for theta in (proj.weights[0], proj.weights[3], proj.biases[1], reps):
-        assert grad_check(run, theta) < 1e-4
-
-
 # ---------------------------------------------------------------------------
 # cosine similarity
 
@@ -181,33 +168,8 @@ def test_brute_force_oracle_equivalence():
         assert abs(ours - ref) < 1e-10, f"trial {trial}: {ours} vs {ref}"
 
 
-def test_ranking_loss_gradient_check():
-    rng = np.random.default_rng(10)
-    pred = Matrix(rng.standard_normal((4, 5)))
-    tgt = Matrix(rng.standard_normal((4, 5)))
-
-    def run(_):
-        return ranking_loss(pred, tgt)
-
-    assert grad_check(run, pred) < 1e-4
-    assert grad_check(run, tgt) < 1e-4
-
-
 # ---------------------------------------------------------------------------
 # grounding_loss
-
-
-def test_grounding_loss_full_gradient_check():
-    rng = np.random.default_rng(11)
-    proj = make_projection(6, 4, 3, rng)
-    reps = Matrix(rng.standard_normal((3, 6)))
-    images = rng.standard_normal((3, 3))
-
-    def run(_):
-        return grounding_loss(reps, images, proj)
-
-    for theta in (reps, proj.weights[0], proj.weights[3], proj.biases[0]):
-        assert grad_check(run, theta) < 1e-4
 
 
 def test_grounding_loss_dropout_gradient_with_fixed_masks():

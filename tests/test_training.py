@@ -13,8 +13,8 @@ from groundsent import training
 from groundsent.autodiff import Matrix, Tape
 from groundsent.data import PAD, build_vocab, gen_synthetic, make_batches, numericalize
 from groundsent.training import (
-    AdamState, FlatTensors, ModelParameters, TrainConfig, adam_step, clip_gradients,
-    composite_loss, init_params, train, train_step,
+    AdamState, FlatTensors, TrainConfig, adam_step, clip_gradients, composite_loss, init_params,
+    train, train_step,
 )
 
 TINY = dict(d_cell=4, d_a=3, n_a=2, d_e=4, d_img=5, batch_size=3, epochs=1, seed=0)
@@ -414,7 +414,7 @@ def test_checkpoint_load_rejects_truncated_or_padded_file(tmp_path, where):
     result = train(config, gen_synthetic(6, 8, config.d_img, seed=4), out_dir=tmp_path / "run")
     data = Path(result.checkpoint_path).read_bytes()
     meta_len = int.from_bytes(data[8:16], "little")
-    cut = {"header": data[:10], "json": data[: 16 + meta_len // 2], "tensor": data[:-100],
+    cut = {"header": data[:10], "json": data[: 20 + meta_len // 2], "tensor": data[:-100],
            "trailing": data + b"\0"}[where]
     bad = tmp_path / "bad.bin"
     bad.write_bytes(cut)
