@@ -80,6 +80,19 @@ def test_project_exactly_four_layers_enforced():
                          biases=[Matrix(np.zeros((1, 2)))] * 3)
 
 
+def test_project_gradient_check_eval_mode():
+    rng = np.random.default_rng(5)
+    proj = make_projection(6, 4, 3, rng)
+    reps = Matrix(rng.standard_normal((2, 6)))
+    readout = Matrix(rng.standard_normal((2, 3)))
+
+    def run(_):
+        return ad.sum_all(ad.mul(readout, project(proj, reps)))
+
+    for theta in (proj.weights[0], proj.weights[3], proj.biases[1], reps):
+        assert grad_check(run, theta) < 1e-4
+
+
 # ---------------------------------------------------------------------------
 # cosine similarity
 
@@ -170,6 +183,19 @@ def test_brute_force_oracle_equivalence():
 
 # ---------------------------------------------------------------------------
 # grounding_loss
+
+
+def test_grounding_loss_full_gradient_check():
+    rng = np.random.default_rng(11)
+    proj = make_projection(6, 4, 3, rng)
+    reps = Matrix(rng.standard_normal((3, 6)))
+    images = rng.standard_normal((3, 3))
+
+    def run(_):
+        return grounding_loss(reps, images, proj)
+
+    for theta in (reps, proj.weights[0], proj.weights[3], proj.biases[0]):
+        assert grad_check(run, theta) < 1e-4
 
 
 def test_grounding_loss_dropout_gradient_with_fixed_masks():
