@@ -279,14 +279,26 @@ def transpose(x: Matrix) -> Matrix:
 
 
 def select_rows(m: Matrix, ids) -> Matrix:
-    """Gather rows by index (embedding lookup); backward scatter-adds."""
+    """Gather rows by index (embedding lookup).
+
+    Backward sums each used row's gradients from 0 in gather order, then adds
+    that sum once, in place, into m.grad; rows not gathered are untouched, and
+    nothing shaped like m is made unless m.grad is None.
+    """
     idx = np.asarray(ids, dtype=np.intp)
     out = Matrix._wrap(m.data[idx].copy())
 
     def backward():
-        gm = np.zeros_like(m.data)
-        np.add.at(gm, idx, out.grad)
-        m.accumulate(gm)
+        cols = m.cols
+        # Negative ids name the same row as their positive form, so map them before np.unique.
+        rows, where = np.unique(idx % m.rows, return_inverse=True)
+        sums = np.zeros((rows.size, cols))
+        # Flat indices take np.add.at's fast path; 2-D row indices are about 3x slower.
+        np.add.at(sums.reshape(-1), (where.reshape(-1, 1) * cols + np.arange(cols)).reshape(-1),
+                  out.grad.reshape(-1))
+        if m.grad is None:
+            m.grad = np.zeros_like(m.data)
+        m.grad[rows] += sums
 
     record("select_rows", (m,), out, backward)
     return out

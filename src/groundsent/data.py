@@ -237,6 +237,10 @@ def gen_synthetic(n: int, v_content: int, d_img: int, seed: int) -> Corpus:
     """
     if v_content < 8:
         raise ValueError(f"v_content must be >= 8, got {v_content}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if d_img < 1:
+        raise ValueError(f"d_img must be >= 1, got {d_img}")
     visual_names, ordinary_names = synthetic_token_names(v_content)
     names = visual_names + ordinary_names
     codes = token_codes(v_content, d_img, seed)

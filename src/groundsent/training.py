@@ -64,8 +64,14 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 for in-batch negatives")
-        if self.clip <= 0:
-            raise ValueError("clip bound must be positive")
+        for name in ("lr", "adam_eps"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.clip > 0:  # NaN fails too; inf means no clipping
+            raise ValueError(f"clip bound must be positive, got {self.clip}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not 0.0 <= self.dropout < 1.0:
@@ -76,9 +82,15 @@ class TrainConfig:
 
 
 class FlatTensors(dict):
-    """Name -> view of `vector`, laid out like `like`; np.zeros: unwritten pages stay unmapped.
+    """Name -> view of `vector`, laid out like `like`, made with np.zeros.
 
     `vector` is little-endian float64, the byte order a checkpoint stores it in.
+    A page is zeroed on its first write, but numpy advises transparent huge
+    pages for large arrays, so one write zeroes a whole 2 MB page. At V = 20k,
+    d_e = 300, scattering about 300 rows into a fresh gradient zeroes nearly
+    all of the 48 MB embedding view: 9 ms, against 3 ms with huge pages off.
+    Keep them on: without them the full clip pass that follows took 51-65 ms
+    instead of 10-13 ms (2-core Xeon, transparent huge pages on `madvise`).
     """
 
     def __init__(self, like: dict[str, np.ndarray]):

@@ -33,3 +33,26 @@ def nan_in_one_gradient(monkeypatch):
         return poisoned
 
     return arm
+
+
+@pytest.fixture
+def dense_select_rows():
+    """The embedding gather as it was before its backward wrote rows in place: a reference.
+
+    Its backward scatters with np.add.at into a dense zero matrix shaped like
+    the gathered-from matrix, then accumulates all of it.
+    """
+
+    def select_rows(m, ids):
+        idx = np.asarray(ids, dtype=np.intp)
+        out = ad.Matrix._wrap(m.data[idx].copy())
+
+        def backward():
+            gm = np.zeros_like(m.data)
+            np.add.at(gm, idx, out.grad)
+            m.accumulate(gm)
+
+        ad.record("select_rows", (m,), out, backward)
+        return out
+
+    return select_rows

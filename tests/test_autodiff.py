@@ -4,6 +4,7 @@ Each op's finite-difference check runs in the gradcheck suite (tests/test_gradch
 """
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,57 @@ def test_select_rows_accumulates_duplicates():
         out = ad.select_rows(m, [1, 1, 2])
         tape.backward(ad.sum_all(out))
     np.testing.assert_array_equal(m.grad, [[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]])
+
+
+def gathered_grad(select_rows, data, grad, ids, g):
+    """m.grad after one select_rows backward of upstream gradient g into m = Matrix(data)."""
+    m = Matrix(data)
+    m.grad = None if grad is None else grad.copy()
+    with Tape() as tape:
+        out = select_rows(m, ids)
+    out.grad = g
+    tape.entries[0][3]()
+    return m.grad
+
+
+@pytest.mark.parametrize("preset", [False, True])
+def test_select_rows_backward_matches_dense_scatter(dense_select_rows, preset):
+    rng = np.random.default_rng(7)
+    data = rng.standard_normal((40, 6))
+    grad = rng.standard_normal((40, 6)) if preset else None
+    ids = np.concatenate([np.full(32, 1), rng.integers(0, 40, 50), [-1, 39, -40]])
+    rng.shuffle(ids)
+    g = rng.standard_normal((ids.size, 6))
+    np.testing.assert_array_equal(gathered_grad(ad.select_rows, data, grad, ids, g),
+                                  gathered_grad(dense_select_rows, data, grad, ids, g))
+
+
+def test_select_rows_backward_leaves_other_rows_bit_for_bit():
+    rng = np.random.default_rng(8)
+    grad = rng.standard_normal((10, 4))
+    grad[5] = -0.0  # the dense scatter turned this into +0.0
+    grad[6, 0] = np.nan
+    after = gathered_grad(ad.select_rows, np.zeros((10, 4)), grad, [2, 3, 2],
+                          rng.standard_normal((3, 4)))
+    untouched = np.setdiff1d(np.arange(10), [2, 3])
+    assert after[untouched].tobytes() == grad[untouched].tobytes()
+
+
+def test_select_rows_backward_into_a_set_gradient_allocates_nothing_table_sized():
+    v, d_e = 20_000, 300
+    m = Matrix._wrap(np.zeros((v, d_e)))
+    m.grad = np.zeros((v, d_e))
+    rng = np.random.default_rng(9)
+    with Tape() as tape:
+        out = ad.select_rows(m, np.concatenate([np.full(32, 1), rng.integers(0, v, 288)]))
+    out.grad = rng.standard_normal(out.shape)
+    tracemalloc.start()
+    try:
+        tape.entries[0][3]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < v * d_e * 8 / 10
 
 
 # ---------------------------------------------------------------------------

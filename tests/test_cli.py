@@ -143,6 +143,41 @@ def test_train_on_one_sample_corpus_fails_before_writing(tmp_path, capsys):
     assert not (run / "checkpoint.bin").exists() and not (run / "metrics.jsonl").exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-1"), ("--lr", "0"),
+    ("--adam-eps", "0"), ("--adam-eps", "nan"), ("--beta1", "1.0"), ("--beta2", "1.0"),
+    ("--beta1", "-0.1"), ("--beta2", "nan"), ("--clip", "nan"), ("--clip", "0"),
+])
+def test_train_with_bad_optimizer_setting_fails_before_writing(workspace, tmp_path, capsys,
+                                                               flag, value):
+    run = tmp_path / "run"
+    assert main(["train", "--corpus", str(workspace["corpus"]), "--out", str(run),
+                 "--epochs", "1", "--batch", "4", flag, value, *SMALL_DIMS]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert flag[2:].replace("-", "_") in err[0]
+    assert captured.out == "" and not (run / "checkpoint.bin").exists()
+
+
+def test_train_with_infinite_clip_runs(workspace, tmp_path):
+    run = tmp_path / "run"
+    assert main(["train", "--corpus", str(workspace["corpus"]), "--out", str(run),
+                 "--epochs", "1", "--batch", "4", "--clip", "inf", *SMALL_DIMS]) == 0
+    assert (run / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--n", "0"), ("--n", "-3"), ("--d-img", "0"),
+                                         ("--d-img", "-2"), ("--vocab", "7")])
+def test_gen_synth_with_bad_size_fails_cleanly(tmp_path, capsys, flag, value):
+    out = tmp_path / "corpus.jsonl"
+    assert main(["gen-synth", flag, value, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == "" and not out.exists()
+
+
 def test_train_on_corpus_with_duplicate_ids_fails_before_writing(workspace, tmp_path, capsys):
     lines = workspace["corpus"].read_text().splitlines()
     corpus, run = tmp_path / "dup.jsonl", tmp_path / "run"

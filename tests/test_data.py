@@ -147,6 +147,12 @@ def test_gen_synthetic_rejects_tiny_vocab():
         gen_synthetic(4, 7, 8, seed=0)
 
 
+@pytest.mark.parametrize("n, d_img", [(0, 8), (-3, 8), (4, 0), (4, -2)])
+def test_gen_synthetic_rejects_empty_sizes(n, d_img):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        gen_synthetic(n, 16, d_img, seed=0)
+
+
 def test_gen_synthetic_salient_token_is_member():
     corpus = gen_synthetic(32, 16, 8, seed=2)
     for rec in corpus.records:

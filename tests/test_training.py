@@ -294,6 +294,37 @@ def test_train_step_never_allocates_a_dense_vocabulary_buffer():
     assert net < rows * v * 8
 
 
+def test_embedding_gradient_stays_a_view_of_the_gradient_vector():
+    config, params, batch, _, _ = tiny_setup()
+    params.zero_grads()
+    with Tape() as tape:
+        loss, _, _ = composite_loss(config.objective, batch, params, train_mode=False)
+        tape.backward(loss)
+    assert params.embeddings.grad.base is params.grads.vector
+    assert np.any(params.grads["embeddings"] != 0.0)
+
+
+def test_train_steps_match_the_dense_scatter_bit_for_bit(monkeypatch, dense_select_rows):
+    config = TrainConfig(seed=0)
+    corpus = gen_synthetic(128, 16, config.d_img, seed=4)
+    samples = numericalize(corpus, build_vocab(corpus, 1))
+    batches = make_batches(samples, config.batch_size, seed=4)[:4]
+
+    def run():
+        params = init_params(config, 500)
+        adam = AdamState.for_params(params)
+        rng = np.random.default_rng(1)
+        losses = [train_step(b, params, adam, config, rng=rng) for b in batches]
+        return losses, params.values.vector, adam.m.vector, adam.v.vector
+
+    new = run()
+    monkeypatch.setattr(ad, "select_rows", dense_select_rows)
+    old = run()
+    assert new[0] == old[0]
+    for a, b in zip(new[1:], old[1:]):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_composite_rejects_unknown_objective():
     config, params, batch, _, _ = tiny_setup()
     with pytest.raises(ValueError):
