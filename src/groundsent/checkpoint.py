@@ -11,10 +11,10 @@ Layout (little-endian):
 The JSON block holds the train config and its hash, the epoch/step counters
 and the vocabulary (content tokens in id order), so evaluation surfaces can
 run from a checkpoint alone. It also holds the layout the three vectors
-share, `[[name, rows, cols], ...]` in `ModelParameters.named()` order, and
-one CRC-32 per vector. Each vector is written with one call and read with
-one `readinto`; a file whose length, layout or CRCs (of the metadata or of a
-vector) disagree is refused.
+share, `[[name, rows, cols], ...]` in `training.parameter_shapes` order, and
+one CRC-32 per vector. Each vector is written with one call and read with one
+`readinto`. A file whose length, layout (checked before allocating) or CRCs
+(of the metadata or of a vector) disagree is refused.
 
 Saving is canonical: writing a just-loaded checkpoint reproduces the
 original bytes. Saving is also crash-safe: the bytes go to a temporary file
@@ -31,7 +31,7 @@ import struct
 import zlib
 
 from .data import Vocabulary
-from .training import AdamState, FlatTensors, ModelParameters, TrainConfig, init_params
+from .training import AdamState, ModelParameters, TrainConfig, parameter_shapes
 
 MAGIC = b"GSCP"
 VERSION = 3
@@ -46,8 +46,8 @@ def config_hash(config: TrainConfig) -> str:
     return hashlib.sha256(_canonical_json(config.to_dict())).hexdigest()
 
 
-def _layout(flat: FlatTensors) -> list[list]:
-    return [[name, *view.shape] for name, view in flat.items()]
+def _layout(shapes: dict[str, tuple[int, int]]) -> list[list]:
+    return [[name, *shape] for name, shape in shapes.items()]
 
 
 def _vectors(params: ModelParameters, adam: AdamState) -> tuple:
@@ -65,7 +65,7 @@ def save(path, params: ModelParameters, adam: AdamState, config: TrainConfig,
         "epoch": epoch,
         "step": adam.step,
         "vocab": vocab.content_tokens(),
-        "layout": _layout(params.values),
+        "layout": _layout(params.shapes),
         "crc32": [zlib.crc32(v) for v in vectors],
     }
     blob = _canonical_json(meta)
@@ -112,9 +112,9 @@ def load(path) -> tuple[ModelParameters, AdamState, TrainConfig, Vocabulary, int
         if meta.get("config_hash") != config_hash(config):
             raise ValueError(f"{path}: config hash mismatch")
 
-        params = init_params(config, vocab.size)
-        if layout != _layout(params.values):
-            raise corrupt  # a tensor missing, unknown or of the wrong shape
+        if layout != _layout(parameter_shapes(config, vocab.size)):
+            raise corrupt  # a tensor missing, unknown or of the wrong shape; nothing allocated yet
+        params = ModelParameters(config, vocab.size)
         adam = AdamState.for_params(params)
         adam.step = step
         vectors = _vectors(params, adam)

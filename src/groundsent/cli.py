@@ -10,7 +10,7 @@ from . import checkpoint as ckpt
 from .data import Corpus, build_vocab, gen_synthetic, load_embeddings, numericalize
 from .evaluation import embed_lines, retrieval_eval, salience
 from .gradcheck import TOLERANCE, run_suite
-from .training import OBJECTIVES, TrainConfig, train
+from .training import OBJECTIVES, TrainConfig, check_image_width, train
 
 
 def _add_dim_flags(p: argparse.ArgumentParser) -> None:
@@ -103,8 +103,9 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     if args.limit is not None and args.limit < 2:
         raise ValueError(f"--limit must be at least 2, got {args.limit}")
-    params, _, _, vocab, _ = ckpt.load(args.checkpoint)
+    params, _, config, vocab, _ = ckpt.load(args.checkpoint)
     corpus = Corpus.load(args.corpus)
+    check_image_width(corpus, config)
     samples = numericalize(corpus, vocab)[: args.limit]
     s2i, i2s = retrieval_eval(params, samples)
     print(json.dumps({"sentence_to_image": s2i.to_dict(), "image_to_sentence": i2s.to_dict()},

@@ -93,7 +93,8 @@ def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> Embeddi
 
     Tokens absent from the file are initialized uniform in [-0.1, 0.1];
     the PAD row is zeroed. Coverage is the covered fraction of the
-    non-reserved vocabulary.
+    non-reserved vocabulary. Every line must hold `dim` values; those of a
+    vocabulary token must be finite reals.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
     weights = rng.uniform(-0.1, 0.1, size=(vocab.size, dim))
@@ -110,7 +111,13 @@ def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> Embeddi
                     f"embedding file line {lineno}: expected {dim} values, got {len(values)}"
                 )
             if token in content:
-                weights[vocab.index[token]] = [float(v) for v in values]
+                try:
+                    row = [float(v) for v in values]
+                except ValueError as exc:
+                    raise ValueError(f"embedding file line {lineno}: {exc}") from None
+                if not all(map(math.isfinite, row)):
+                    raise ValueError(f"embedding file line {lineno}: non-finite value")
+                weights[vocab.index[token]] = row
                 covered += 1
     weights[PAD] = 0.0
     coverage = covered / len(content) if content else 1.0
@@ -153,7 +160,7 @@ class Corpus:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 d_img = json.loads(fh.readline())["d_img"]
-                if not isinstance(d_img, int) or d_img < 1:
+                if type(d_img) is not int or d_img < 1:  # a JSON true is not a width
                     raise ValueError("corpus line 1: d_img must be a positive integer")
                 for lineno, line in enumerate(fh, start=2):
                     if not line.strip():
@@ -172,6 +179,10 @@ class Corpus:
                     if sample_id in seen:
                         raise ValueError(f"corpus line {lineno}: duplicate id {sample_id!r}")
                     seen.add(sample_id)
+                    for key in ("src", "tgt"):
+                        if not isinstance(obj[key], str):
+                            raise ValueError(f"corpus line {lineno}: {key} must be a string, "
+                                             f"got {type(obj[key]).__name__}")
                     records.append(
                         CaptionRecord(
                             id=sample_id, src=obj["src"], tgt=obj["tgt"],

@@ -12,8 +12,9 @@ uninterrupted trajectory.
 from __future__ import annotations
 
 import json
+import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -81,8 +82,23 @@ class TrainConfig:
         return asdict(self)
 
 
+def parameter_shapes(config: TrainConfig, vocab_size: int) -> dict[str, tuple[int, int]]:
+    """Name -> (rows, cols) of each trainable tensor in vector order: the one parameter layout."""
+    d, d_e, d_a, d_p, v = config.d_cell, config.d_e, config.d_a, config.d_p, vocab_size
+
+    def cell(p: str) -> dict[str, tuple[int, int]]:
+        return {f"{p}_input_w": (d_e, 4 * d), f"{p}_recur_w": (d, 4 * d), f"{p}_bias": (1, 4 * d)}
+    shapes = {"embeddings": (v, d_e), **cell("enc_fwd"), **cell("enc_bwd"),
+              "attn_proj": (d_a, d), "attn_heads": (config.n_a, d_a),
+              "dec_init_h": (d, 2 * d), "dec_init_c": (d, 2 * d), **cell("dec"),
+              "dec_out_w": (v, d), "dec_out_b": (1, v)}
+    for i, (rows, cols) in enumerate([(2 * d, d_p), (d_p, d_p), (d_p, d_p), (d_p, config.d_img)]):
+        shapes[f"proj_w{i + 1}"], shapes[f"proj_b{i + 1}"] = (rows, cols), (1, cols)
+    return shapes
+
+
 class FlatTensors(dict):
-    """Name -> view of `vector`, laid out like `like`, made with np.zeros.
+    """Name -> view of `vector`, cut into `shapes` in their order, made with np.zeros.
 
     `vector` is little-endian float64, the byte order a checkpoint stores it in.
     A page is zeroed on its first write, but numpy advises transparent huge
@@ -93,68 +109,53 @@ class FlatTensors(dict):
     instead of 10-13 ms (2-core Xeon, transparent huge pages on `madvise`).
     """
 
-    def __init__(self, like: dict[str, np.ndarray]):
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
         super().__init__()
-        self.vector = np.zeros(sum(a.size for a in like.values()), dtype="<f8")
+        self.vector = np.zeros(sum(map(math.prod, shapes.values())), dtype="<f8")
         start = 0
-        for name, a in like.items():
-            self[name] = self.vector[start : start + a.size].reshape(a.shape)
-            start += a.size
+        for name, shape in shapes.items():
+            self[name] = self.vector[start : start + math.prod(shape)].reshape(shape)
+            start += self[name].size
 
 
-@dataclass
 class ModelParameters:
-    """Every trainable tensor, grouped by sub-model; each .data is a view of vector `values`."""
+    """Every trainable tensor, grouped by sub-model, each .data a view of the vector `values`.
 
-    embeddings: Matrix
-    encoder: EncoderParams
-    decoder: DecoderParams
-    projection: ProjectionParams
-    values: FlatTensors = field(init=False, repr=False)
-    grads: FlatTensors | None = field(init=False, default=None, repr=False)
-    next_grads: FlatTensors | None = field(init=False, default=None, repr=False)
+    All zero, laid out by `parameter_shapes` and drawn from no RNG: `init_params`
+    draws into the views, and `checkpoint.load` reads a file into them.
+    """
 
-    def __post_init__(self):
-        self.values = FlatTensors({name: m.data for name, m in self.named().items()})
-        for name, m in self.named().items():
-            self.values[name][...] = m.data
-            m.data = self.values[name]
+    def __init__(self, config: TrainConfig, vocab_size: int):
+        self.shapes = parameter_shapes(config, vocab_size)
+        self.values = FlatTensors(self.shapes)
+        self.grads = self.next_grads = None  # FlatTensors laid out like `values`, once set
+        t = self._named = {name: Matrix._wrap(view) for name, view in self.values.items()}
+
+        def cell(prefix: str) -> LstmCellParams:
+            return LstmCellParams(*(t[f"{prefix}_{k}"] for k in ("input_w", "recur_w", "bias")))
+
+        self.embeddings = t["embeddings"]
+        self.encoder = EncoderParams(cell("enc_fwd"), cell("enc_bwd"),
+                                     t["attn_proj"], t["attn_heads"])
+        self.decoder = DecoderParams(t["dec_init_h"], t["dec_init_c"], cell("dec"),
+                                     t["dec_out_w"], t["dec_out_b"])
+        self.projection = ProjectionParams(weights=[t[f"proj_w{i}"] for i in range(1, 5)],
+                                           biases=[t[f"proj_b{i}"] for i in range(1, 5)],
+                                           dropout_p=config.dropout)
 
     def named(self) -> dict[str, Matrix]:
-        """Flat name -> tensor view; each trainable tensor appears exactly once."""
-        out = {
-            "embeddings": self.embeddings,
-            "enc_fwd_input_w": self.encoder.forward_cell.input_w,
-            "enc_fwd_recur_w": self.encoder.forward_cell.recur_w,
-            "enc_fwd_bias": self.encoder.forward_cell.bias,
-            "enc_bwd_input_w": self.encoder.backward_cell.input_w,
-            "enc_bwd_recur_w": self.encoder.backward_cell.recur_w,
-            "enc_bwd_bias": self.encoder.backward_cell.bias,
-            "attn_proj": self.encoder.attn_proj,
-            "attn_heads": self.encoder.attn_heads,
-            "dec_init_h": self.decoder.init_h_proj,
-            "dec_init_c": self.decoder.init_c_proj,
-            "dec_input_w": self.decoder.cell.input_w,
-            "dec_recur_w": self.decoder.cell.recur_w,
-            "dec_bias": self.decoder.cell.bias,
-            "dec_out_w": self.decoder.out_w,
-            "dec_out_b": self.decoder.out_b,
-        }
-        for i in range(4):
-            out[f"proj_w{i + 1}"] = self.projection.weights[i]
-            out[f"proj_b{i + 1}"] = self.projection.biases[i]
-        return out
+        """Flat name -> tensor, in layout order; each trainable tensor appears exactly once."""
+        return self._named
 
     def zero_grads(self) -> None:
         """Point each .grad at its view of `grads`: `next_grads` if set, else a new zero vector."""
-        self.grads, self.next_grads = self.next_grads or FlatTensors(self.values), None
-        for name, m in self.named().items():
+        self.grads, self.next_grads = self.next_grads or FlatTensors(self.shapes), None
+        for name, m in self._named.items():
             m.grad = self.grads[name]
 
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int,
-            shape: tuple[int, int]) -> np.ndarray:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
+def _xavier(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    bound = np.sqrt(6.0 / (shape[0] + shape[1]))
     return rng.uniform(-bound, bound, size=shape)
 
 
@@ -163,57 +164,38 @@ def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _init_cell(rng: np.random.Generator, d_in: int, d: int) -> LstmCellParams:
-    input_w = np.hstack([_xavier(rng, d_in, d, (d_in, d)) for _ in range(4)])
-    recur_w = np.hstack([_orthogonal(rng, d) for _ in range(4)])
-    bias = np.zeros((1, 4 * d))
-    bias[0, d : 2 * d] = 1.0  # forget-gate bias
-    return LstmCellParams(input_w=Matrix(input_w), recur_w=Matrix(recur_w), bias=Matrix(bias))
-
-
 def init_params(config: TrainConfig, vocab_size: int,
                 embedding_table: EmbeddingTable | None = None) -> ModelParameters:
-    """Build all trainable tensors from the config seed.
+    """Build the parameters and draw their values from the config seed, into their views.
 
-    Word embeddings come from `embedding_table` when given (file-loaded),
-    otherwise uniform in [-0.1, 0.1] with the PAD row zeroed.
+    The draws run in layout order. Each LSTM input weight is four xavier-uniform
+    gate blocks and each recurrent weight four orthogonal ones; an LSTM bias is 1
+    on the forget gate, 0 elsewhere. Every other weight is xavier-uniform, bound
+    sqrt(6 / (rows + cols)), and every other bias 0. Word embeddings come from
+    `embedding_table` when given (file-loaded), otherwise uniform in [-0.1, 0.1];
+    the PAD row is zeroed.
     """
+    if embedding_table is not None and embedding_table.weights.shape != (vocab_size, config.d_e):
+        raise ValueError(f"embedding table is {embedding_table.weights.shape}, "
+                         f"expected {(vocab_size, config.d_e)}")
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SEED_INIT]))
-    d, d_e, d_a, n_a = config.d_cell, config.d_e, config.d_a, config.n_a
-    d_p, d_img, v = config.d_p, config.d_img, vocab_size
-
-    if embedding_table is not None:
-        if embedding_table.weights.rows != v or embedding_table.dim != d_e:
-            raise ValueError(
-                f"embedding table is {embedding_table.weights.shape}, expected ({v}, {d_e})"
-            )
-        emb = Matrix(embedding_table.weights.data)
-    else:
-        weights = rng.uniform(-0.1, 0.1, size=(v, d_e))
-        weights[PAD] = 0.0
-        emb = Matrix._wrap(weights)
-
-    encoder = EncoderParams(
-        forward_cell=_init_cell(rng, d_e, d),
-        backward_cell=_init_cell(rng, d_e, d),
-        attn_proj=Matrix(_xavier(rng, d, d_a, (d_a, d))),
-        attn_heads=Matrix(_xavier(rng, d_a, n_a, (n_a, d_a))),
-    )
-    decoder = DecoderParams(
-        init_h_proj=Matrix(_xavier(rng, 2 * d, d, (d, 2 * d))),
-        init_c_proj=Matrix(_xavier(rng, 2 * d, d, (d, 2 * d))),
-        cell=_init_cell(rng, d_e, d),
-        out_w=Matrix(_xavier(rng, d, v, (v, d))),
-        out_b=Matrix(np.zeros((1, v))),
-    )
-    dims = [(2 * d, d_p), (d_p, d_p), (d_p, d_p), (d_p, d_img)]
-    projection = ProjectionParams(
-        weights=[Matrix(_xavier(rng, a, b, (a, b))) for a, b in dims],
-        biases=[Matrix(np.zeros((1, b))) for _, b in dims],
-        dropout_p=config.dropout,
-    )
-    return ModelParameters(embeddings=emb, encoder=encoder, decoder=decoder,
-                           projection=projection)
+    params = ModelParameters(config, vocab_size)
+    for name, view in params.values.items():
+        if name == "embeddings":
+            view[...] = (rng.uniform(-0.1, 0.1, size=view.shape) if embedding_table is None
+                         else embedding_table.weights.data)
+            view[PAD] = 0.0
+        elif name.endswith("_input_w"):
+            for block in np.split(view, 4, axis=1):
+                block[...] = _xavier(rng, block.shape)
+        elif name.endswith("_recur_w"):
+            for block in np.split(view, 4, axis=1):
+                block[...] = _orthogonal(rng, block.shape[0])
+        elif name.endswith("_bias"):
+            np.split(view, 4, axis=1)[1][...] = 1.0  # forget gate
+        elif name != "dec_out_b" and not name.startswith("proj_b"):
+            view[...] = _xavier(rng, view.shape)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +247,7 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: ModelParameters) -> "AdamState":
-        return cls(0, FlatTensors(params.values), FlatTensors(params.values))
+        return cls(0, FlatTensors(params.shapes), FlatTensors(params.shapes))
 
 
 def adam_step(data: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
@@ -340,8 +322,13 @@ def train_step(batch: Batch, params: ModelParameters, adam: AdamState, config: T
     params.embeddings.data[PAD, :] = 0.0
     # Made while the tape is live, it sits above the step's activations, so the allocator
     # keeps their pages for the next step instead of trimming them and faulting them back in.
-    params.next_grads = FlatTensors(params.values)
+    params.next_grads = FlatTensors(params.shapes)
     return loss_value, loss_c, loss_vg
+
+
+def check_image_width(corpus: Corpus, config: TrainConfig) -> None:
+    if corpus.d_img != config.d_img:
+        raise ValueError(f"corpus d_img={corpus.d_img} does not match config d_img={config.d_img}")
 
 
 def train(config: TrainConfig, corpus: Corpus, out_dir=None,
@@ -357,10 +344,7 @@ def train(config: TrainConfig, corpus: Corpus, out_dir=None,
     from . import checkpoint as ckpt
     from pathlib import Path
 
-    if corpus.d_img != config.d_img:
-        raise ValueError(
-            f"corpus d_img={corpus.d_img} does not match config d_img={config.d_img}"
-        )
+    check_image_width(corpus, config)
     if len(corpus) < 2:
         raise ValueError(f"corpus has {len(corpus)} sample(s); training needs at least 2 "
                          "to form a batch")
@@ -375,6 +359,9 @@ def train(config: TrainConfig, corpus: Corpus, out_dir=None,
             raise ValueError("resume config does not match checkpoint config")
         if loaded_vocab.tokens != vocab.tokens:
             raise ValueError("resume corpus produces a different vocabulary")
+        if start_epoch >= config.epochs:
+            raise ValueError(f"epochs={config.epochs} must be past the checkpoint's epoch "
+                             f"{start_epoch} to resume")
         vocab = loaded_vocab
     else:
         params = init_params(config, vocab.size, embedding_table)

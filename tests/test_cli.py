@@ -2,11 +2,15 @@
 
 import json
 import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
+from groundsent import checkpoint as ckpt
 from groundsent.cli import build_parser, main
+from groundsent.training import TrainConfig
 
 SMALL_DIMS = ["--d-cell", "6", "--d-a", "4", "--n-a", "2", "--d-e", "6"]
 
@@ -272,3 +276,55 @@ def test_checkpoint_of_other_format_fails_cleanly(workspace, tmp_path, capsys, o
     bad = tmp_path / "bad.bin"
     bad.write_bytes(data)
     assert _salience_errors(bad, capsys) == [f"error: {bad}: {message}"]
+
+
+def test_checkpoint_whose_config_claims_larger_tensors_is_refused_before_allocating(
+        workspace, tmp_path, capsys):
+    # The metadata says d_cell=400, with its hash and CRC recomputed; layout and vectors stay.
+    data = workspace["checkpoint"].read_bytes()
+    meta_len = int.from_bytes(data[8:16], "little")
+    meta = json.loads(data[20 : 20 + meta_len])
+    meta["config"]["d_cell"] = 400
+    meta["config_hash"] = ckpt.config_hash(TrainConfig(**meta["config"]))
+    blob = ckpt._canonical_json(meta)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(ckpt._HEADER.pack(ckpt.MAGIC, ckpt.VERSION, len(blob), zlib.crc32(blob))
+                    + blob + data[20 + meta_len :])
+    assert _salience_errors(bad, capsys) == [f"error: {bad}: truncated or corrupt checkpoint"]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="truncated or corrupt checkpoint"):
+            ckpt.load(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _assert_fails_with_one_error(argv, capsys, checkpoint, message):
+    before = checkpoint.read_bytes()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+    assert checkpoint.read_bytes() == before
+
+
+@pytest.mark.parametrize("epochs", ["1", "2"])
+def test_train_resume_without_later_epochs_fails_before_writing(workspace, tmp_path, capsys,
+                                                                epochs):
+    run = tmp_path / "run"
+    _assert_fails_with_one_error(
+        ["train", "--corpus", str(workspace["corpus"]), "--out", str(run), "--epochs", epochs,
+         "--batch", "4", "--seed", "3", *SMALL_DIMS, "--resume", str(workspace["checkpoint"])],
+        capsys, workspace["checkpoint"],
+        f"epochs={epochs} must be past the checkpoint's epoch 2 to resume")
+    assert not run.exists()
+
+
+def test_eval_on_corpus_of_other_image_width_fails_cleanly(workspace, tmp_path, capsys):
+    corpus = tmp_path / "wide.jsonl"
+    assert main(["gen-synth", "--n", "20", "--vocab", "16", "--d-img", "16", "--seed", "3",
+                 "--out", str(corpus)]) == 0
+    capsys.readouterr()
+    _assert_fails_with_one_error(
+        ["eval", "--checkpoint", str(workspace["checkpoint"]), "--corpus", str(corpus)],
+        capsys, workspace["checkpoint"], "corpus d_img=16 does not match config d_img=8")

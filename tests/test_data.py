@@ -116,11 +116,16 @@ def test_load_embeddings_empty_file(tmp_path):
     assert np.abs(table.weights.data[4:]).max() <= 0.1
 
 
-def test_load_embeddings_bad_width_names_line(tmp_path):
+@pytest.mark.parametrize("values, message", [
+    ("4.0 5.0", "expected 3 values, got 2"), ("4.0 nan 6.0", "non-finite value"),
+    ("4.0 1e400 6.0", "non-finite value"),
+    ("4.0 abc 6.0", "could not convert string to float: 'abc'"),
+], ids=["width", "nan", "overflow", "not-a-number"])
+def test_load_embeddings_bad_row_names_line(tmp_path, values, message):
     vocab = build_vocab(corpus_of(["cat bowl"]), 1)
     path = tmp_path / "emb.txt"
-    path.write_text("cat 1.0 2.0 3.0\nbowl 4.0 5.0\n")
-    with pytest.raises(ValueError, match="line 2"):
+    path.write_text(f"cat 1.0 2.0 3.0\nbowl {values}\n")
+    with pytest.raises(ValueError, match=f"^embedding file line 2: {message}$"):
         load_embeddings(path, vocab, dim=3)
 
 
@@ -213,7 +218,8 @@ def test_corpus_load_rejects_zero_norm_image(tmp_path):
         Corpus.load(path)
 
 
-@pytest.mark.parametrize("header", ['{"dim": 2}', '{"d_img": "two"}', '[2]', 'not json'])
+@pytest.mark.parametrize("header", ['{"dim": 2}', '{"d_img": "two"}', '[2]', 'not json',
+                                    '{"d_img": true}'])
 def test_corpus_load_rejects_bad_header_naming_line_one(tmp_path, header):
     path = tmp_path / "bad.jsonl"
     path.write_text(header + '\n{"id": "x", "src": "a", "tgt": "a", "img": [1.0, 0.0]}\n')
@@ -221,10 +227,15 @@ def test_corpus_load_rejects_bad_header_naming_line_one(tmp_path, header):
         Corpus.load(path)
 
 
-def test_corpus_load_rejects_missing_field_naming_line(tmp_path):
+@pytest.mark.parametrize("record, message", [
+    ('{"id": "x", "src": "a", "img": [1.0, 0.0]}', "missing field 'tgt'"),
+    ('{"id": "x", "src": 7, "tgt": "a", "img": [1.0, 0.0]}', "src must be a string, got int"),
+    ('{"id": "x", "src": "a", "tgt": 7, "img": [1.0, 0.0]}', "tgt must be a string, got int"),
+], ids=["missing-tgt", "int-src", "int-tgt"])
+def test_corpus_load_rejects_bad_field_naming_line(tmp_path, record, message):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"d_img": 2}\n{"id": "x", "src": "a", "img": [1.0, 0.0]}\n')
-    with pytest.raises(ValueError, match="corpus line 2: missing field 'tgt'"):
+    path.write_text('{"d_img": 2}\n' + record + "\n")
+    with pytest.raises(ValueError, match=f"corpus line 2: {message}"):
         Corpus.load(path)
 
 

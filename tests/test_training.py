@@ -11,7 +11,9 @@ from groundsent import autodiff as ad
 from groundsent import checkpoint as ckpt
 from groundsent import training
 from groundsent.autodiff import Matrix, Tape
-from groundsent.data import PAD, build_vocab, gen_synthetic, make_batches, numericalize
+from groundsent.data import (
+    PAD, build_vocab, gen_synthetic, load_embeddings, make_batches, numericalize,
+)
 from groundsent.training import (
     AdamState, FlatTensors, TrainConfig, adam_step, clip_gradients, composite_loss, init_params,
     train, train_step,
@@ -82,6 +84,68 @@ def test_every_tensor_named_exactly_once():
     assert len({id(m) for m in named.values()}) == len(named)
 
 
+LAYOUT_NAMES = [
+    "embeddings", "enc_fwd_input_w", "enc_fwd_recur_w", "enc_fwd_bias", "enc_bwd_input_w",
+    "enc_bwd_recur_w", "enc_bwd_bias", "attn_proj", "attn_heads", "dec_init_h", "dec_init_c",
+    "dec_input_w", "dec_recur_w", "dec_bias", "dec_out_w", "dec_out_b",
+    "proj_w1", "proj_b1", "proj_w2", "proj_b2", "proj_w3", "proj_b3", "proj_w4", "proj_b4",
+]
+
+
+def stacked_init_vector(config, v, table=None):
+    """Reference for init_params: each tensor drawn whole (a cell's four gate blocks
+    hstacked), in layout order, then concatenated into one vector."""
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, training._SEED_INIT]))
+    d, d_e, d_p = config.d_cell, config.d_e, config.d_p
+
+    def xavier(fan_in, fan_out, shape):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-bound, bound, size=shape)
+
+    def orthogonal(n):
+        q, r = np.linalg.qr(rng.standard_normal((n, n)))
+        return q * np.sign(np.diag(r))
+
+    def cell(d_in):
+        input_w = np.hstack([xavier(d_in, d, (d_in, d)) for _ in range(4)])
+        recur_w = np.hstack([orthogonal(d) for _ in range(4)])
+        bias = np.zeros((1, 4 * d))
+        bias[0, d : 2 * d] = 1.0
+        return [input_w, recur_w, bias]
+
+    if table is None:
+        emb = rng.uniform(-0.1, 0.1, size=(v, d_e))
+        emb[PAD] = 0.0
+    else:
+        emb = table.weights.data
+    tensors = [emb, *cell(d_e), *cell(d_e), xavier(d, config.d_a, (config.d_a, d)),
+               xavier(config.d_a, config.n_a, (config.n_a, config.d_a)),
+               xavier(2 * d, d, (d, 2 * d)), xavier(2 * d, d, (d, 2 * d)), *cell(d_e),
+               xavier(d, v, (v, d)), np.zeros((1, v))]
+    dims = [(2 * d, d_p), (d_p, d_p), (d_p, d_p), (d_p, config.d_img)]
+    for w, (_, cols) in zip([xavier(a, b, (a, b)) for a, b in dims], dims):
+        tensors += [w, np.zeros((1, cols))]
+    return np.concatenate([t.ravel() for t in tensors])
+
+
+@pytest.mark.parametrize("case", ["defaults", "d_p", "table"])
+def test_init_params_matches_the_stacked_construction(tmp_path, case):
+    config = TrainConfig(**{"defaults": {}, "d_p": {"d_p": 24, "seed": 5},
+                            "table": {"seed": 2}}[case])
+    corpus = gen_synthetic(64, 64, config.d_img, seed=3)
+    vocab = build_vocab(corpus, 1)
+    table = None
+    if case == "table":
+        path = tmp_path / "emb.txt"
+        rng = np.random.default_rng(9)
+        path.write_text("".join(f"{t} " + " ".join(map(str, rng.standard_normal(config.d_e)))
+                                + "\n" for t in vocab.content_tokens()[::2]))
+        table = load_embeddings(path, vocab, config.d_e, seed=1)
+    params = init_params(config, vocab.size, table)
+    assert list(params.named()) == list(params.shapes) == LAYOUT_NAMES
+    assert np.array_equal(params.values.vector, stacked_init_vector(config, vocab.size, table))
+
+
 def test_init_params_holds_one_copy_of_the_embedding_table_besides_the_vector():
     tracemalloc.start()
     try:
@@ -110,8 +174,8 @@ def test_clip_leaves_in_bound_untouched():
 
 
 def one_tensor_adam():
-    like = {"t": np.empty((1, 2))}
-    return AdamState(0, FlatTensors(like), FlatTensors(like))
+    shapes = {"t": (1, 2)}
+    return AdamState(0, FlatTensors(shapes), FlatTensors(shapes))
 
 
 def test_adam_zero_gradient_is_noop():
@@ -163,10 +227,9 @@ def test_adam_step_matches_reference_update_bit_for_bit(monkeypatch, block):
 
     rng = np.random.default_rng(14)
     shapes = {"big": (7, 5), "wide": (1, 12), "mid": (3, 4), "small": (2, 2)}  # 67 entries
-    like = {k: np.empty(s) for k, s in shapes.items()}
-    data, grads = FlatTensors(like), FlatTensors(like)
+    data, grads = FlatTensors(shapes), FlatTensors(shapes)
     data.vector[:] = rng.standard_normal(data.vector.size)
-    state = AdamState(0, FlatTensors(like), FlatTensors(like))
+    state = AdamState(0, FlatTensors(shapes), FlatTensors(shapes))
     ref = {k: a.copy() for k, a in data.items()}
     ref_m = {k: np.zeros(s) for k, s in shapes.items()}
     ref_v = {k: np.zeros(s) for k, s in shapes.items()}
@@ -451,6 +514,21 @@ def test_checkpoint_load_rejects_truncated_or_padded_file(tmp_path, where):
     bad.write_bytes(cut)
     with pytest.raises(ValueError, match="truncated or corrupt checkpoint"):
         ckpt.load(bad)
+
+
+def test_checkpoint_load_draws_no_initialisation(tmp_path, monkeypatch):
+    config = TrainConfig(objective="cap2all", **{**TINY, "epochs": 1})
+    result = train(config, gen_synthetic(6, 8, config.d_img, seed=4), out_dir=tmp_path)
+
+    def no_draws(*args):
+        raise AssertionError("checkpoint.load drew an initialisation")
+
+    monkeypatch.setattr(training, "_xavier", no_draws)
+    monkeypatch.setattr(training, "_orthogonal", no_draws)
+    params, adam, _, _, _ = ckpt.load(result.checkpoint_path)
+    assert np.array_equal(params.values.vector, result.params.values.vector)
+    assert np.array_equal(adam.m.vector, result.adam.m.vector)
+    assert np.array_equal(adam.v.vector, result.adam.v.vector)
 
 
 def test_checkpoint_roundtrip_preserves_tensors(tmp_path):
