@@ -84,7 +84,6 @@ class EmbeddingTable:
     """Initial word-embedding weights (V x d_e) plus file-coverage fraction."""
 
     weights: Matrix
-    dim: int
     coverage: float
 
 
@@ -121,7 +120,7 @@ def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> Embeddi
                 covered += 1
     weights[PAD] = 0.0
     coverage = covered / len(content) if content else 1.0
-    return EmbeddingTable(weights=Matrix(weights), dim=dim, coverage=coverage)
+    return EmbeddingTable(weights=Matrix(weights), coverage=coverage)
 
 
 @dataclass
@@ -166,7 +165,10 @@ class Corpus:
                     if not line.strip():
                         continue
                     obj = json.loads(line)
-                    img = np.asarray(obj["img"], dtype=np.float64)
+                    try:
+                        img = np.asarray(obj["img"], dtype=np.float64)
+                    except ValueError as exc:  # a non-numeric value
+                        raise ValueError(f"corpus line {lineno}: {exc}") from None
                     if img.shape != (d_img,):
                         raise ValueError(f"corpus line {lineno}: image width {img.shape} "
                                          f"does not match d_img={d_img}")

@@ -9,8 +9,9 @@ recurrence runs as one fused op (`encoder.run_lanes`) from the projected
 initial state, and the states reach the vocabulary through one fused
 logits-and-NLL op (`cross_entropy_rows`). Steps whose target is PAD are
 dropped before the head, so padding adds nothing to the loss and gets no
-gradient. The head runs the kept rows in cache-sized chunks and, while a tape
-records, forms its gradients in the forward, so no (rows, V) array is made.
+gradient. The head runs the kept rows in cache-sized chunks, one chunk per
+core at a time (`parallel.run`), and, while a tape records, forms its
+gradients in the forward, so no (rows, V) array is made.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import parallel
 from .autodiff import Matrix, ShapeError
 from .data import PAD
 from .encoder import LstmCellParams, project_inputs, run_lanes
 
-# Bytes of the vocabulary head's one (rows, V) chunk buffer: 52 rows at V = 20,000, few
+# Bytes of each of the vocabulary head's (rows, V) chunk buffers: 52 rows at V = 20,000, few
 # enough to stay in cache, many enough that the per-chunk (V, d) out_w gradient update
 # is paid a few times a step (2 and 4 MB measured slower); small vocabularies run as one chunk.
 HEAD_CHUNK_BYTES = 1 << 23
@@ -55,38 +57,51 @@ def cross_entropy_rows(states: Matrix, out_w: Matrix, out_b: Matrix, targets: np
     """Sum over kept rows of -log softmax(states @ out_w.T + out_b)[row, target], as 1x1.
 
     The vocabulary head as one op, over the kept rows only, in chunks of
-    HEAD_CHUNK_BYTES // (8 V) rows through one reused (chunk, V) buffer. Each
-    chunk computes its logits, shifts them by the row max, exponentiates them
-    in place and adds its rows' losses. While a tape records, the chunk then
-    turns the buffer into softmax - onehot and adds its share of the unscaled
-    gradients of states, out_w and out_b; the loss is linear in out.grad, so
-    backward only scales and accumulates them. Dropped rows get an exactly zero
-    states gradient.
+    HEAD_CHUNK_BYTES // (8 V) rows. The chunks run in rounds of one per core,
+    as `parallel.run` pieces, each through its round slot's reused (chunk, V)
+    buffer. A chunk computes its logits, shifts them by the row max,
+    exponentiates them in place and sums its rows' losses. While a tape
+    records, it then turns the buffer into softmax - onehot, writes its rows
+    of the states gradient and returns its parts of the unscaled out_w and
+    out_b gradients; the loss is linear in out.grad, so backward only scales
+    and accumulates them. The losses and parts are added in chunk order, as
+    one thread would. Dropped rows get an exactly zero states gradient.
     """
     kept = np.flatnonzero(keep)
     h, t, w = states.data[kept], targets[kept], out_w.data
     chunk = max(1, HEAD_CHUNK_BYTES // (8 * w.shape[0]))
-    buf = np.empty((min(chunk, kept.size), w.shape[0]))
-    grads = ad.recording()
+    starts = range(0, kept.size, chunk)
+    width = max(1, min(parallel.WORKERS, len(starts)))  # chunks in flight, one buffer slot each
+    bufs = np.empty((width, min(chunk, kept.size), w.shape[0]))
+    grads = ad.recording()  # on this thread: pool threads see no tape
     if grads:
         g_h, g_w, g_b = np.empty_like(h), np.zeros_like(w), np.zeros_like(out_b.data)
-    total = 0.0
-    for start in range(0, kept.size, chunk):
-        part = slice(start, start + chunk)
+        parts_w = np.empty((width, *w.shape))
+
+    def head(start: int):
+        slot, part = start // chunk % width, slice(start, start + chunk)
         hc, tc = h[part], t[part]
-        z = np.matmul(hc, w.T, out=buf[: hc.shape[0]])
+        z = np.matmul(hc, w.T, out=bufs[slot, : hc.shape[0]])
         z += out_b.data
         z -= z.max(axis=1, keepdims=True)
         rows = np.arange(z.shape[0])
         target_z = z[rows, tc]
         sums = np.exp(z, out=z).sum(axis=1, keepdims=True)
-        total += float((np.log(sums[:, 0]) - target_z).sum())
-        if grads:
-            z *= 1.0 / sums
-            z[rows, tc] -= 1.0
-            np.matmul(z, w, out=g_h[part])
-            g_w += z.T @ hc
-            g_b += z.sum(axis=0)
+        loss = float((np.log(sums[:, 0]) - target_z).sum())
+        if not grads:
+            return loss, None, None
+        z *= 1.0 / sums
+        z[rows, tc] -= 1.0
+        np.matmul(z, w, out=g_h[part])
+        return loss, np.matmul(z.T, hc, out=parts_w[slot]), z.sum(axis=0)
+
+    total = 0.0
+    for first in range(0, len(starts), width):  # a round's parts are added before the next
+        for loss, part_w, part_b in parallel.run(head, starts[first : first + width]):
+            total += loss
+            if grads:
+                g_w += part_w
+                g_b += part_b
     out = Matrix._wrap(np.array([[total]]))
 
     def backward():

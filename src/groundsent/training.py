@@ -2,11 +2,13 @@
 
 Recurrent square blocks are initialized orthogonally (sign-corrected QR of
 seeded Gaussians); everything else uses xavier-uniform bounds. Parameters,
-gradients and Adam's moments are each one vector (`FlatTensors`), checked,
-clipped elementwise and updated in one pass. Runs are fully determined by
-(config, seed, corpus): shuffling and dropout streams are re-derived per
-epoch from the seed, so resuming from an epoch checkpoint reproduces the
-uninterrupted trajectory.
+gradients and Adam's moments are each one vector (`FlatTensors`). The step
+checks, clips and updates them elementwise, span by span: a vector of 2**20
+entries or more is cut into `parallel.spans`, one per core, run by
+`parallel.run`, so results are bit-for-bit those of one pass. Runs are fully
+determined by (config, seed, corpus): shuffling and dropout streams are
+re-derived per epoch from the seed, so resuming from an epoch checkpoint
+reproduces the uninterrupted trajectory.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import autodiff as ad
+from . import parallel
 from .autodiff import Matrix, Tape
 from .data import (
     PAD, Batch, Corpus, EmbeddingTable, Vocabulary, build_vocab, make_batches, numericalize,
@@ -33,6 +36,7 @@ OBJECTIVES = ("cap2cap", "cap2img", "cap2all")
 _SEED_INIT, _SEED_DROPOUT = 11, 23
 
 # Entries per Adam block: the block's six arrays (about 1.5 MB) stay in a core's cache.
+# Spans of the step's vector work (`parallel.spans`) are whole blocks.
 ADAM_BLOCK = 1 << 15
 
 
@@ -233,8 +237,10 @@ def composite_loss(objective: str, batch: Batch, params: ModelParameters,
 
 
 def clip_gradients(grad: np.ndarray, bound: float) -> np.ndarray:
-    """Clip the gradient vector elementwise to [-bound, bound], in place."""
-    return np.clip(grad, -bound, bound, out=grad)
+    """Clip the gradient vector elementwise to [-bound, bound], in place, span by span."""
+    parallel.run(lambda s: np.clip(grad[s], -bound, bound, out=grad[s]),
+                 parallel.spans(grad.size, ADAM_BLOCK))
+    return grad
 
 
 @dataclass
@@ -252,22 +258,29 @@ class AdamState:
 
 def adam_step(data: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update of `data`, in place, a block at a time; adds 1 to step."""
+    """One bias-corrected Adam update of `data`, in place; adds 1 to step.
+
+    Each span runs the block loop with its own scratch buffers.
+    """
     state.step += 1
     bc1, bc2 = 1.0 - beta1**state.step, 1.0 - beta2**state.step
-    scratch_a, scratch_b = np.empty((2, ADAM_BLOCK))
-    for start in range(0, data.size, ADAM_BLOCK):
-        block = slice(start, start + ADAM_BLOCK)
-        g, m, v = grad[block], state.m.vector[block], state.v.vector[block]
-        a, b = scratch_a[: g.size], scratch_b[: g.size]
-        m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=a)
-        v *= beta2
-        v += np.multiply(np.multiply(g, 1.0 - beta2, out=a), g, out=a)
-        np.sqrt(np.divide(v, bc2, out=a), out=a)
-        a += eps
-        np.multiply(np.divide(m, bc1, out=b), lr, out=b)
-        data[block] -= np.divide(b, a, out=b)
+
+    def update(span: slice) -> None:
+        scratch_a, scratch_b = np.empty((2, ADAM_BLOCK))
+        for start in range(span.start, span.stop, ADAM_BLOCK):
+            block = slice(start, start + ADAM_BLOCK)  # spans end where blocks end
+            g, m, v = grad[block], state.m.vector[block], state.v.vector[block]
+            a, b = scratch_a[: g.size], scratch_b[: g.size]
+            m *= beta1
+            m += np.multiply(g, 1.0 - beta1, out=a)
+            v *= beta2
+            v += np.multiply(np.multiply(g, 1.0 - beta2, out=a), g, out=a)
+            np.sqrt(np.divide(v, bc2, out=a), out=a)
+            a += eps
+            np.multiply(np.divide(m, bc1, out=b), lr, out=b)
+            data[block] -= np.divide(b, a, out=b)
+
+    parallel.run(update, parallel.spans(data.size, ADAM_BLOCK))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +325,8 @@ def train_step(batch: Batch, params: ModelParameters, adam: AdamState, config: T
             raise FloatingPointError(f"non-finite loss {loss_value} at step {adam.step + 1}")
         tape.backward(loss)
     grad = params.grads.vector
-    if not np.isfinite(grad).all():
+    if not all(parallel.run(lambda s: np.isfinite(grad[s]).all(),
+                            parallel.spans(grad.size, ADAM_BLOCK))):
         name = next(k for k, g in params.grads.items() if not np.isfinite(g).all())
         raise FloatingPointError(f"non-finite gradient of {name} at step {adam.step + 1}")
     params.embeddings.grad[PAD, :] = 0.0  # PAD row is excluded from updates

@@ -1,9 +1,12 @@
 """Fixtures shared by several test modules."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from groundsent import autodiff as ad
+from groundsent import parallel
 
 
 @pytest.fixture
@@ -56,3 +59,18 @@ def dense_select_rows():
         return out
 
     return select_rows
+
+
+@pytest.fixture
+def set_workers(monkeypatch):
+    """Return set(n); after it, `parallel.run` runs as on n cores, however many there are."""
+    pools = []
+
+    def set_(n):
+        pools.append(ThreadPoolExecutor(max(1, n - 1)))
+        monkeypatch.setattr(parallel, "WORKERS", n)
+        monkeypatch.setattr(parallel, "_POOL", pools[-1])
+
+    yield set_
+    for pool in pools:
+        pool.shutdown()

@@ -164,6 +164,16 @@ def test_train_with_bad_optimizer_setting_fails_before_writing(workspace, tmp_pa
     assert captured.out == "" and not (run / "checkpoint.bin").exists()
 
 
+def test_train_with_config_too_large_to_allocate_fails_cleanly(workspace, tmp_path, capsys):
+    run = tmp_path / "run"  # about 1 EiB of parameters: more than a process can map
+    assert main(["train", "--corpus", str(workspace["corpus"]), "--out", str(run),
+                 "--epochs", "1", "--batch", "4", *SMALL_DIMS, "--d-cell", "100000000"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "allocate" in err[0]
+    assert captured.out == "" and not (run / "checkpoint.bin").exists()
+
+
 def test_train_with_infinite_clip_runs(workspace, tmp_path):
     run = tmp_path / "run"
     assert main(["train", "--corpus", str(workspace["corpus"]), "--out", str(run),

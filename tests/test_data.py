@@ -231,7 +231,11 @@ def test_corpus_load_rejects_bad_header_naming_line_one(tmp_path, header):
     ('{"id": "x", "src": "a", "img": [1.0, 0.0]}', "missing field 'tgt'"),
     ('{"id": "x", "src": 7, "tgt": "a", "img": [1.0, 0.0]}', "src must be a string, got int"),
     ('{"id": "x", "src": "a", "tgt": 7, "img": [1.0, 0.0]}', "tgt must be a string, got int"),
-], ids=["missing-tgt", "int-src", "int-tgt"])
+    ('{"id": "x", "src": "a", "tgt": "a", "img": "abc"}',
+     "could not convert string to float: 'abc'"),
+    ('{"id": "x", "src": "a", "tgt": "a", "img": [1.0, "b"]}',
+     "could not convert string to float: 'b'"),
+], ids=["missing-tgt", "int-src", "int-tgt", "string-img", "string-in-img"])
 def test_corpus_load_rejects_bad_field_naming_line(tmp_path, record, message):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"d_img": 2}\n' + record + "\n")
