@@ -27,28 +27,19 @@ class ShapeError(ValueError):
 
 
 class Matrix:
-    """A dense 2-D float64 array plus an accumulated-gradient slot."""
+    """A dense 2-D float64 array plus an accumulated-gradient slot.
+
+    A float64 array is taken as `data` without a copy, so a Matrix over a view
+    writes through to the viewed array; other input is converted to float64.
+    """
 
     __slots__ = ("data", "grad")
 
     def __init__(self, data):
-        arr = np.array(data, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        elif arr.ndim != 2:
-            raise ShapeError(f"Matrix must be at most 2-D, got shape {arr.shape}")
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
+        if self.data.ndim != 2:
+            raise ShapeError(f"Matrix must be 2-D, got shape {self.data.shape}")
         self.grad: np.ndarray | None = None
-
-    @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "Matrix":
-        # Internal fast path: takes ownership of a float64 2-D array, no copy.
-        m = object.__new__(cls)
-        m.data = arr
-        m.grad = None
-        return m
 
     @property
     def rows(self) -> int:
@@ -143,7 +134,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     """Matrix product. Backward: grad_a = g @ b.T, grad_b = a.T @ g."""
     if a.cols != b.rows:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    out = Matrix._wrap(a.data @ b.data)
+    out = Matrix(a.data @ b.data)
 
     def backward():
         g = out.grad
@@ -161,7 +152,7 @@ def _binary_shapes(name: str, a: Matrix, b: Matrix) -> None:
 
 def add(a: Matrix, b: Matrix) -> Matrix:
     _binary_shapes("add", a, b)
-    out = Matrix._wrap(a.data + b.data)
+    out = Matrix(a.data + b.data)
 
     def backward():
         g = out.grad
@@ -174,7 +165,7 @@ def add(a: Matrix, b: Matrix) -> Matrix:
 
 def mul(a: Matrix, b: Matrix) -> Matrix:
     _binary_shapes("mul", a, b)
-    out = Matrix._wrap(a.data * b.data)
+    out = Matrix(a.data * b.data)
 
     def backward():
         g = out.grad
@@ -188,7 +179,7 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
 def max2(a: Matrix, b: Matrix) -> Matrix:
     """Elementwise maximum; ties route the gradient to the first operand."""
     _binary_shapes("max2", a, b)
-    out = Matrix._wrap(np.maximum(a.data, b.data))
+    out = Matrix(np.maximum(a.data, b.data))
     take_a = a.data >= b.data
 
     def backward():
@@ -201,7 +192,7 @@ def max2(a: Matrix, b: Matrix) -> Matrix:
 
 
 def scale(x: Matrix, s: float) -> Matrix:
-    out = Matrix._wrap(x.data * s)
+    out = Matrix(x.data * s)
 
     def backward():
         x.accumulate(out.grad * s)
@@ -212,7 +203,7 @@ def scale(x: Matrix, s: float) -> Matrix:
 
 def tanh(x: Matrix) -> Matrix:
     y = np.tanh(x.data)
-    out = Matrix._wrap(y)
+    out = Matrix(y)
 
     def backward():
         x.accumulate(out.grad * (1.0 - y * y))
@@ -222,7 +213,7 @@ def tanh(x: Matrix) -> Matrix:
 
 
 def relu(x: Matrix) -> Matrix:
-    out = Matrix._wrap(np.maximum(x.data, 0.0))
+    out = Matrix(np.maximum(x.data, 0.0))
     mask = x.data > 0.0
 
     def backward():
@@ -240,7 +231,7 @@ def reduce_max_rows(x: Matrix, blocks: int = 1) -> Matrix:
     if x.rows < 1 or x.cols < 1 or blocks < 1 or x.rows % blocks:
         raise ShapeError(f"reduce_max_rows: cannot split {x.shape} into {blocks} runs of rows")
     runs = x.data.reshape(blocks, -1, x.cols)
-    out = Matrix._wrap(runs.max(axis=1))
+    out = Matrix(runs.max(axis=1))
     winners = runs.argmax(axis=1)
 
     def backward():
@@ -257,7 +248,7 @@ def concat_rows(a: Matrix, b: Matrix) -> Matrix:
     if a.rows != b.rows:
         raise ShapeError(f"concat_rows: row counts differ, {a.shape} vs {b.shape}")
     p = a.cols
-    out = Matrix._wrap(np.hstack([a.data, b.data]))
+    out = Matrix(np.hstack([a.data, b.data]))
 
     def backward():
         g = out.grad
@@ -269,7 +260,7 @@ def concat_rows(a: Matrix, b: Matrix) -> Matrix:
 
 
 def transpose(x: Matrix) -> Matrix:
-    out = Matrix._wrap(np.ascontiguousarray(x.data.T))
+    out = Matrix(np.ascontiguousarray(x.data.T))
 
     def backward():
         x.accumulate(out.grad.T)
@@ -286,7 +277,7 @@ def select_rows(m: Matrix, ids) -> Matrix:
     nothing shaped like m is made unless m.grad is None.
     """
     idx = np.asarray(ids, dtype=np.intp)
-    out = Matrix._wrap(m.data[idx].copy())
+    out = Matrix(m.data[idx].copy())
 
     def backward():
         cols = m.cols
@@ -308,7 +299,7 @@ def add_rowvec(m: Matrix, v: Matrix) -> Matrix:
     """Add a (1, d) row vector to every row of an (n, d) matrix."""
     if v.rows != 1 or v.cols != m.cols:
         raise ShapeError(f"add_rowvec: expected (n,{m.cols}) + (1,{m.cols}), got {m.shape} + {v.shape}")
-    out = Matrix._wrap(m.data + v.data)
+    out = Matrix(m.data + v.data)
 
     def backward():
         g = out.grad
@@ -321,7 +312,7 @@ def add_rowvec(m: Matrix, v: Matrix) -> Matrix:
 
 def sum_all(x: Matrix) -> Matrix:
     """Sum of all entries, as a 1x1 matrix."""
-    out = Matrix._wrap(np.array([[x.data.sum()]]))
+    out = Matrix([[x.data.sum()]])
 
     def backward():
         x.accumulate(np.full_like(x.data, out.grad[0, 0]))
@@ -335,7 +326,7 @@ def normalize_rows(x: Matrix) -> Matrix:
     norms = np.sqrt((x.data * x.data).sum(axis=1, keepdims=True))
     denom = np.maximum(norms, NORM_EPS)
     y = x.data / denom
-    out = Matrix._wrap(y)
+    out = Matrix(y)
     guarded = norms[:, 0] < NORM_EPS
 
     def backward():

@@ -14,7 +14,8 @@ run from a checkpoint alone. It also holds the layout the three vectors
 share, `[[name, rows, cols], ...]` in `training.parameter_shapes` order, and
 one CRC-32 per vector. Each vector is written with one call and read with one
 `readinto`. A file whose length, layout (checked before allocating) or CRCs
-(of the metadata or of a vector) disagree is refused.
+(of the metadata or of a vector) disagree is refused, and so is one whose
+step or epoch is negative or whose vectors hold a non-finite value.
 
 Saving is canonical: writing a just-loaded checkpoint reproduces the
 original bytes. Saving is also crash-safe: the bytes go to a temporary file
@@ -31,7 +32,7 @@ import struct
 import zlib
 
 from .data import Vocabulary
-from .training import AdamState, ModelParameters, TrainConfig, parameter_shapes
+from .training import AdamState, ModelParameters, TrainConfig, all_finite, parameter_shapes
 
 MAGIC = b"GSCP"
 VERSION = 3
@@ -104,6 +105,8 @@ def load(path) -> tuple[ModelParameters, AdamState, TrainConfig, Vocabulary, int
             config = TrainConfig(**meta["config"])
             step, epoch, vocab = int(meta["step"]), int(meta["epoch"]), Vocabulary(meta["vocab"])
             layout, crcs = meta["layout"], meta["crc32"]
+            if step < 0 or epoch < 0:  # Adam's bias correction needs step >= 0
+                raise corrupt
             # the three vectors fill the rest of the file exactly; checked before allocating
             if 3 * 8 * sum(rows * cols for _, rows, cols in layout) != size - fh.tell():
                 raise corrupt
@@ -119,6 +122,7 @@ def load(path) -> tuple[ModelParameters, AdamState, TrainConfig, Vocabulary, int
         adam.step = step
         vectors = _vectors(params, adam)
         if (any(fh.readinto(v) != v.nbytes for v in vectors)
-                or [zlib.crc32(v) for v in vectors] != crcs):
+                or [zlib.crc32(v) for v in vectors] != crcs
+                or not all(map(all_finite, vectors))):
             raise corrupt
     return params, adam, config, vocab, epoch

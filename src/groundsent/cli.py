@@ -13,15 +13,6 @@ from .gradcheck import TOLERANCE, run_suite
 from .training import OBJECTIVES, TrainConfig, check_image_width, train
 
 
-def _add_dim_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d-cell", type=int, default=32, help="LSTM cell width")
-    p.add_argument("--d-a", type=int, default=16, help="attention hidden width")
-    p.add_argument("--n-a", type=int, default=4, help="number of attention heads")
-    p.add_argument("--d-e", type=int, default=32, help="word embedding width")
-    p.add_argument("--d-p", type=int, default=None,
-                   help="projection hidden width (default: the corpus's image width)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groundsent",
@@ -39,19 +30,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="run directory for checkpoint + metrics")
-    p.add_argument("--objective", choices=OBJECTIVES, default="cap2all")
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--beta1", type=float, default=0.9)
-    p.add_argument("--beta2", type=float, default=0.999)
-    p.add_argument("--adam-eps", type=float, default=1e-8)
-    p.add_argument("--clip", type=float, default=5.0)
-    p.add_argument("--dropout", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
+    c = TrainConfig  # each default is stated once, on the config
+    p.add_argument("--objective", choices=OBJECTIVES, default=c.objective)
+    p.add_argument("--epochs", type=int, default=c.epochs)
+    p.add_argument("--batch", type=int, default=c.batch_size)
+    p.add_argument("--lr", type=float, default=c.lr)
+    p.add_argument("--beta1", type=float, default=c.beta1)
+    p.add_argument("--beta2", type=float, default=c.beta2)
+    p.add_argument("--adam-eps", type=float, default=c.adam_eps)
+    p.add_argument("--clip", type=float, default=c.clip)
+    p.add_argument("--dropout", type=float, default=c.dropout)
+    p.add_argument("--seed", type=int, default=c.seed)
     p.add_argument("--embeddings", default=None, help="GloVe-format init file")
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
-    _add_dim_flags(p)
+    p.add_argument("--d-cell", type=int, default=c.d_cell, help="LSTM cell width")
+    p.add_argument("--d-a", type=int, default=c.d_a, help="attention hidden width")
+    p.add_argument("--n-a", type=int, default=c.n_a, help="number of attention heads")
+    p.add_argument("--d-e", type=int, default=c.d_e, help="word embedding width")
+    p.add_argument("--d-p", type=int, default=c.d_p,
+                   help="projection hidden width (default: the corpus's image width)")
 
     p = sub.add_parser("eval", help="retrieval evaluation from a checkpoint")
     p.add_argument("--checkpoint", required=True)

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Matrix
-
 PAD, UNK, BOS, EOS = 0, 1, 2, 3
 RESERVED = ("<pad>", "<unk>", "<bos>", "<eos>")
 
@@ -83,7 +81,7 @@ def build_vocab(corpus: "Corpus", min_count: int = 1) -> Vocabulary:
 class EmbeddingTable:
     """Initial word-embedding weights (V x d_e) plus file-coverage fraction."""
 
-    weights: Matrix
+    weights: np.ndarray
     coverage: float
 
 
@@ -93,12 +91,11 @@ def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> Embeddi
     Tokens absent from the file are initialized uniform in [-0.1, 0.1];
     the PAD row is zeroed. Coverage is the covered fraction of the
     non-reserved vocabulary. Every line must hold `dim` values; those of a
-    vocabulary token must be finite reals.
+    vocabulary token must be finite reals, on one line only.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
     weights = rng.uniform(-0.1, 0.1, size=(vocab.size, dim))
-    covered = 0
-    content = set(vocab.content_tokens())
+    content, covered = set(vocab.content_tokens()), set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -110,6 +107,9 @@ def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> Embeddi
                     f"embedding file line {lineno}: expected {dim} values, got {len(values)}"
                 )
             if token in content:
+                if token in covered:
+                    raise ValueError(f"embedding file line {lineno}: duplicate token {token!r}")
+                covered.add(token)
                 try:
                     row = [float(v) for v in values]
                 except ValueError as exc:
@@ -117,10 +117,9 @@ def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> Embeddi
                 if not all(map(math.isfinite, row)):
                     raise ValueError(f"embedding file line {lineno}: non-finite value")
                 weights[vocab.index[token]] = row
-                covered += 1
     weights[PAD] = 0.0
-    coverage = covered / len(content) if content else 1.0
-    return EmbeddingTable(weights=Matrix(weights), coverage=coverage)
+    coverage = len(covered) / len(content) if content else 1.0
+    return EmbeddingTable(weights=weights, coverage=coverage)
 
 
 @dataclass

@@ -58,9 +58,9 @@ def cross_entropy_rows(states: Matrix, out_w: Matrix, out_b: Matrix, targets: np
 
     The vocabulary head as one op, over the kept rows only, in chunks of
     HEAD_CHUNK_BYTES // (8 V) rows. The chunks run in rounds of one per core,
-    as `parallel.run` pieces, each through its round slot's reused (chunk, V)
-    buffer. A chunk computes its logits, shifts them by the row max,
-    exponentiates them in place and sums its rows' losses. While a tape
+    one `parallel.run` call a round, each chunk through its round slot's
+    reused (chunk, V) buffer. A chunk computes its logits, shifts them by the
+    row max, exponentiates them in place and sums its rows' losses. While a tape
     records, it then turns the buffer into softmax - onehot, writes its rows
     of the states gradient and returns its parts of the unscaled out_w and
     out_b gradients; the loss is linear in out.grad, so backward only scales
@@ -102,7 +102,7 @@ def cross_entropy_rows(states: Matrix, out_w: Matrix, out_b: Matrix, targets: np
             if grads:
                 g_w += part_w
                 g_b += part_b
-    out = Matrix._wrap(np.array([[total]]))
+    out = Matrix([[total]])
 
     def backward():
         s = out.grad[0, 0]

@@ -84,7 +84,7 @@ def run_lanes(cell: LstmCellParams, x_pre: Matrix, h0: Matrix, c0: Matrix) -> Ma
         c += a[:, :d] * a[:, 2 * d : 3 * d]
         np.tanh(c, out=h)
         h *= a[:, 3 * d :]
-    out = Matrix._wrap(hs[1:].reshape(-1, d))
+    out = Matrix(hs[1:].reshape(-1, d))
 
     def backward():
         i, f, g, o = (gates[..., k * d : (k + 1) * d] for k in range(4))
@@ -140,7 +140,7 @@ def encode(params: EncoderParams, embeddings: Matrix, token_ids) -> tuple[Matrix
                      + np.arange(lanes)).reshape(-1)
 
     xs = ad.select_rows(embeddings, ids.T.reshape(-1))
-    zeros = Matrix._wrap(np.zeros((lanes, d)))
+    zeros = Matrix(np.zeros((lanes, d)))
     fwd = run_lanes(params.forward_cell, project_inputs(params.forward_cell, xs), zeros, zeros)
     bwd = run_lanes(params.backward_cell,
                     project_inputs(params.backward_cell, ad.select_rows(xs, reversed_rows)),
@@ -169,7 +169,7 @@ def masked_attention(scores: Matrix, states: Matrix, mask: np.ndarray):
     e = np.exp(s - s.max(axis=2, keepdims=True))
     w = e / e.sum(axis=2, keepdims=True)
     h = states.data.reshape(steps, lanes, d).transpose(1, 0, 2)  # (B, T, d)
-    out = Matrix._wrap((w @ h).reshape(-1, d))
+    out = Matrix((w @ h).reshape(-1, d))
 
     def backward():
         g = out.grad.reshape(lanes, -1, d)

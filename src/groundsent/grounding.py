@@ -49,7 +49,7 @@ def project(params: ProjectionParams, reps: Matrix, train_mode: bool = False,
             out = ad.relu(out)
             if train_mode and params.dropout_p > 0.0:
                 keep = rng.random(out.shape) >= params.dropout_p
-                mask = Matrix._wrap(keep / (1.0 - params.dropout_p))
+                mask = Matrix(keep / (1.0 - params.dropout_p))
                 out = ad.mul(out, mask)
     return out
 
@@ -82,7 +82,7 @@ def _log_exp_sum_rank(sims: Matrix) -> Matrix:
     e1 *= off
     e2 *= off
     total = e1.sum() + e2.sum()
-    out = Matrix._wrap(np.array([[np.log1p(total)]]))
+    out = Matrix([[np.log1p(total)]])
 
     def backward():
         coef = out.grad[0, 0] / (1.0 + total)
@@ -116,4 +116,4 @@ def grounding_loss(sentence_reps: Matrix, image_targets: np.ndarray, params: Pro
                    train_mode: bool = False, rng: np.random.Generator | None = None) -> Matrix:
     """Project a batch of sentence representations and rank them against the images."""
     predicted = project(params, sentence_reps, train_mode=train_mode, rng=rng)
-    return ranking_loss(predicted, Matrix(np.asarray(image_targets, dtype=np.float64)))
+    return ranking_loss(predicted, Matrix(image_targets))

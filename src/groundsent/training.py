@@ -5,10 +5,13 @@ seeded Gaussians); everything else uses xavier-uniform bounds. Parameters,
 gradients and Adam's moments are each one vector (`FlatTensors`). The step
 checks, clips and updates them elementwise, span by span: a vector of 2**20
 entries or more is cut into `parallel.spans`, one per core, run by
-`parallel.run`, so results are bit-for-bit those of one pass. Runs are fully
-determined by (config, seed, corpus): shuffling and dropout streams are
-re-derived per epoch from the seed, so resuming from an epoch checkpoint
-reproduces the uninterrupted trajectory.
+`parallel.run`, so results are bit-for-bit those of one pass. For a fixed
+BLAS thread count, runs are fully determined by (config, seed, corpus):
+shuffling and dropout streams are re-derived per epoch from the seed, so
+resuming from an epoch checkpoint reproduces the uninterrupted trajectory.
+`groundsent train` does not pin that count (OPENBLAS_NUM_THREADS and the
+like), and at a large vocabulary a different count changes the BLAS sums in
+the last bits, so a run resumed under another count is not bit-for-bit.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ OBJECTIVES = ("cap2cap", "cap2img", "cap2all")
 _SEED_INIT, _SEED_DROPOUT = 11, 23
 
 # Entries per Adam block: the block's six arrays (about 1.5 MB) stay in a core's cache.
-# Spans of the step's vector work (`parallel.spans`) are whole blocks.
 ADAM_BLOCK = 1 << 15
 
 
@@ -133,7 +135,7 @@ class ModelParameters:
         self.shapes = parameter_shapes(config, vocab_size)
         self.values = FlatTensors(self.shapes)
         self.grads = self.next_grads = None  # FlatTensors laid out like `values`, once set
-        t = self._named = {name: Matrix._wrap(view) for name, view in self.values.items()}
+        t = self._named = {name: Matrix(view) for name, view in self.values.items()}
 
         def cell(prefix: str) -> LstmCellParams:
             return LstmCellParams(*(t[f"{prefix}_{k}"] for k in ("input_w", "recur_w", "bias")))
@@ -187,7 +189,7 @@ def init_params(config: TrainConfig, vocab_size: int,
     for name, view in params.values.items():
         if name == "embeddings":
             view[...] = (rng.uniform(-0.1, 0.1, size=view.shape) if embedding_table is None
-                         else embedding_table.weights.data)
+                         else embedding_table.weights)
             view[PAD] = 0.0
         elif name.endswith("_input_w"):
             for block in np.split(view, 4, axis=1):
@@ -236,10 +238,14 @@ def composite_loss(objective: str, batch: Batch, params: ModelParameters,
     return loss, loss_c, loss_vg
 
 
+def all_finite(vector: np.ndarray) -> bool:
+    """Whether every entry of the vector is finite, checked span by span."""
+    return all(parallel.run(lambda s: np.isfinite(vector[s]).all(), parallel.spans(vector.size)))
+
+
 def clip_gradients(grad: np.ndarray, bound: float) -> np.ndarray:
     """Clip the gradient vector elementwise to [-bound, bound], in place, span by span."""
-    parallel.run(lambda s: np.clip(grad[s], -bound, bound, out=grad[s]),
-                 parallel.spans(grad.size, ADAM_BLOCK))
+    parallel.run(lambda s: np.clip(grad[s], -bound, bound, out=grad[s]), parallel.spans(grad.size))
     return grad
 
 
@@ -268,7 +274,7 @@ def adam_step(data: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
     def update(span: slice) -> None:
         scratch_a, scratch_b = np.empty((2, ADAM_BLOCK))
         for start in range(span.start, span.stop, ADAM_BLOCK):
-            block = slice(start, start + ADAM_BLOCK)  # spans end where blocks end
+            block = slice(start, min(start + ADAM_BLOCK, span.stop))
             g, m, v = grad[block], state.m.vector[block], state.v.vector[block]
             a, b = scratch_a[: g.size], scratch_b[: g.size]
             m *= beta1
@@ -280,7 +286,7 @@ def adam_step(data: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
             np.multiply(np.divide(m, bc1, out=b), lr, out=b)
             data[block] -= np.divide(b, a, out=b)
 
-    parallel.run(update, parallel.spans(data.size, ADAM_BLOCK))
+    parallel.run(update, parallel.spans(data.size))
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +331,7 @@ def train_step(batch: Batch, params: ModelParameters, adam: AdamState, config: T
             raise FloatingPointError(f"non-finite loss {loss_value} at step {adam.step + 1}")
         tape.backward(loss)
     grad = params.grads.vector
-    if not all(parallel.run(lambda s: np.isfinite(grad[s]).all(),
-                            parallel.spans(grad.size, ADAM_BLOCK))):
+    if not all_finite(grad):
         name = next(k for k, g in params.grads.items() if not np.isfinite(g).all())
         raise FloatingPointError(f"non-finite gradient of {name} at step {adam.step + 1}")
     params.embeddings.grad[PAD, :] = 0.0  # PAD row is excluded from updates

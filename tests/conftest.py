@@ -48,7 +48,7 @@ def dense_select_rows():
 
     def select_rows(m, ids):
         idx = np.asarray(ids, dtype=np.intp)
-        out = ad.Matrix._wrap(m.data[idx].copy())
+        out = ad.Matrix(m.data[idx].copy())
 
         def backward():
             gm = np.zeros_like(m.data)

@@ -15,6 +15,27 @@ from groundsent.grounding import cosine_matrix
 
 
 # ---------------------------------------------------------------------------
+# Matrix
+
+
+def test_matrix_shares_a_float64_array():
+    arr = np.zeros((2, 3))
+    assert Matrix(arr).data is arr
+
+
+def test_matrix_converts_a_list_to_float64():
+    m = Matrix([[1, 2, 3]])
+    assert m.data.dtype == np.float64 and m.shape == (1, 3)
+    np.testing.assert_array_equal(m.data, [[1.0, 2.0, 3.0]])
+
+
+@pytest.mark.parametrize("data", [[1.0, 2.0], np.zeros((2, 2, 2))])
+def test_matrix_of_1d_or_3d_input_raises(data):
+    with pytest.raises(ShapeError, match=r"2-D, got shape \("):
+        Matrix(data)
+
+
+# ---------------------------------------------------------------------------
 # matmul
 
 
@@ -89,7 +110,7 @@ def test_concat_rows_definition():
 
 def test_concat_rows_empty_identity():
     x = Matrix([[4.0, 5.0]])
-    out = ad.concat_rows(x, Matrix._wrap(np.zeros((1, 0))))
+    out = ad.concat_rows(x, Matrix(np.zeros((1, 0))))
     np.testing.assert_array_equal(out.data, x.data)
 
 
@@ -151,7 +172,7 @@ def test_select_rows_backward_leaves_other_rows_bit_for_bit():
 
 def test_select_rows_backward_into_a_set_gradient_allocates_nothing_table_sized():
     v, d_e = 20_000, 300
-    m = Matrix._wrap(np.zeros((v, d_e)))
+    m = Matrix(np.zeros((v, d_e)))
     m.grad = np.zeros((v, d_e))
     rng = np.random.default_rng(9)
     with Tape() as tape:

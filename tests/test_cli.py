@@ -4,11 +4,13 @@ import json
 import struct
 import tracemalloc
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from groundsent import checkpoint as ckpt
+from groundsent import cli
 from groundsent.cli import build_parser, main
 from groundsent.training import TrainConfig
 
@@ -40,6 +42,18 @@ def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["frobnicate"])
     assert exc.value.code != 0
+
+
+def test_bare_train_builds_the_default_config(workspace, tmp_path, monkeypatch):
+    configs = []
+
+    def train(config, *args, **kwargs):
+        configs.append(config)
+        return SimpleNamespace(checkpoint_path=None)
+
+    monkeypatch.setattr(cli, "train", train)
+    assert main(["train", "--corpus", str(workspace["corpus"]), "--out", str(tmp_path)]) == 0
+    assert [c.to_dict() for c in configs] == [TrainConfig(d_img=8).to_dict()]
 
 
 def test_train_log_shows_composite_sum(workspace, capsys):
@@ -338,3 +352,69 @@ def test_eval_on_corpus_of_other_image_width_fails_cleanly(workspace, tmp_path, 
     _assert_fails_with_one_error(
         ["eval", "--checkpoint", str(workspace["checkpoint"]), "--corpus", str(corpus)],
         capsys, workspace["checkpoint"], "corpus d_img=16 does not match config d_img=8")
+
+
+def _resaved(workspace, tmp_path, edit, epoch=None):
+    """The workspace checkpoint, loaded, passed to edit(params, adam) and saved with valid CRCs."""
+    params, adam, config, vocab, saved_epoch = ckpt.load(workspace["checkpoint"])
+    edit(params, adam)
+    path = tmp_path / "edited.bin"
+    ckpt.save(path, params, adam, config, vocab, saved_epoch if epoch is None else epoch)
+    return path
+
+
+def _reads_of(workspace, checkpoint, run):
+    """The commands that read a checkpoint: eval, salience and a resumed train."""
+    return {
+        "eval": ["eval", "--checkpoint", str(checkpoint), "--corpus", str(workspace["corpus"])],
+        "salience": ["salience", "--checkpoint", str(checkpoint), "--sentence", "obj01 vis00"],
+        "resume": ["train", "--corpus", str(workspace["corpus"]), "--out", str(run),
+                   "--epochs", "3", "--batch", "4", "--seed", "3", *SMALL_DIMS,
+                   "--resume", str(checkpoint)],
+    }
+
+
+def _set_nan_in_attn_heads(params, adam):
+    params.named()["attn_heads"].data[0, 1] = np.nan
+
+
+def _set_inf_in_adam_v(params, adam):
+    adam.v.vector[-1] = np.inf
+
+
+@pytest.mark.parametrize("edit", [_set_nan_in_attn_heads, _set_inf_in_adam_v],
+                         ids=["nan-param", "inf-adam-v"])
+@pytest.mark.parametrize("command", ["eval", "salience", "resume"])
+def test_checkpoint_with_non_finite_value_fails_cleanly(workspace, tmp_path, capsys, edit,
+                                                        command):
+    bad, run = _resaved(workspace, tmp_path, edit), tmp_path / "run"
+    _assert_fails_with_one_error(_reads_of(workspace, bad, run)[command], capsys, bad,
+                                 f"{bad}: truncated or corrupt checkpoint")
+    assert not run.exists()
+
+
+def _set_step_to_minus_one(params, adam):
+    adam.step = -1
+
+
+@pytest.mark.parametrize("edit, epoch", [(_set_step_to_minus_one, None),
+                                         (lambda params, adam: None, -1)],
+                         ids=["step", "epoch"])
+def test_resume_from_negative_step_or_epoch_fails_before_writing(workspace, tmp_path, capsys,
+                                                                 edit, epoch):
+    bad, run = _resaved(workspace, tmp_path, edit, epoch), tmp_path / "run"
+    _assert_fails_with_one_error(_reads_of(workspace, bad, run)["resume"], capsys, bad,
+                                 f"{bad}: truncated or corrupt checkpoint")
+    assert not run.exists()
+
+
+def test_train_with_repeated_embedding_token_fails_before_writing(workspace, tmp_path, capsys):
+    emb, run = tmp_path / "emb.txt", tmp_path / "run"
+    row = " ".join(["0.5"] * 6)
+    emb.write_text(f"obj01 {row}\nvis00 {row}\nobj01 {row}\n")
+    assert main(["train", "--corpus", str(workspace["corpus"]), "--out", str(run),
+                 "--epochs", "1", "--batch", "4", *SMALL_DIMS, "--embeddings", str(emb)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        "error: embedding file line 3: duplicate token 'obj01'"]
+    assert captured.out == "" and not run.exists()

@@ -103,7 +103,7 @@ def test_load_embeddings_full_coverage(tmp_path):
     path.write_text("cat 1.0 2.0 3.0\nbowl 4.0 5.0 6.0\n")
     table = load_embeddings(path, vocab, dim=3)
     assert table.coverage == 1.0
-    np.testing.assert_array_equal(table.weights.data[vocab.id_of("cat")], [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(table.weights[vocab.id_of("cat")], [1.0, 2.0, 3.0])
 
 
 def test_load_embeddings_empty_file(tmp_path):
@@ -112,8 +112,18 @@ def test_load_embeddings_empty_file(tmp_path):
     path.write_text("")
     table = load_embeddings(path, vocab, dim=3)
     assert table.coverage == 0.0
-    np.testing.assert_array_equal(table.weights.data[PAD], np.zeros(3))
-    assert np.abs(table.weights.data[4:]).max() <= 0.1
+    np.testing.assert_array_equal(table.weights[PAD], np.zeros(3))
+    assert np.abs(table.weights[4:]).max() <= 0.1
+
+
+def test_load_embeddings_repeated_vocabulary_token_names_line(tmp_path):
+    vocab = build_vocab(corpus_of(["cat bowl"]), 1)
+    path = tmp_path / "emb.txt"
+    path.write_text("dog 0 0 0\ncat 1 2 3\ndog 0 0 0\nbowl 4 5 6\ncat 7 8 9\n")
+    with pytest.raises(ValueError, match="^embedding file line 5: duplicate token 'cat'$"):
+        load_embeddings(path, vocab, dim=3)
+    path.write_text("dog 0 0 0\ncat 1 2 3\ndog 0 0 0\n")  # repeats of other tokens are fine
+    assert load_embeddings(path, vocab, dim=3).coverage == 0.5
 
 
 @pytest.mark.parametrize("values, message", [

@@ -22,40 +22,37 @@ from groundsent.training import (
     train_step,
 )
 
-SIZE = 2 * parallel.MIN_SPAN + 12_345  # two spans, the second ending in a part block
+SIZE = 2 * parallel.MIN_SPAN + 12_345  # two spans, cut inside an Adam block
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_spans_cover_the_range_in_whole_blocks(monkeypatch, workers):
+def test_spans_cover_the_range_in_at_most_workers_slices(monkeypatch, workers):
     monkeypatch.setattr(parallel, "WORKERS", workers)
     for size in (0, 1, 2 * parallel.MIN_SPAN - 1, 2 * parallel.MIN_SPAN, SIZE,
                  5 * parallel.MIN_SPAN + 7):
-        for block in (ADAM_BLOCK, 1000, 3):
-            spans = parallel.spans(size, block)
-            assert [s.start for s in spans] == [0] + [s.stop for s in spans[:-1]]
-            assert spans[-1].stop == size
-            assert all(s.start % block == 0 for s in spans)
-            assert 1 <= len(spans) <= workers
-            if size < 2 * parallel.MIN_SPAN:
-                assert len(spans) == 1
-            else:
-                assert all(s.stop - s.start >= parallel.MIN_SPAN for s in spans)
-                if parallel.MIN_SPAN % block == 0:  # then no span count is lost to rounding
-                    assert len(spans) == min(workers, size // parallel.MIN_SPAN)
+        spans = parallel.spans(size)
+        assert [s.start for s in spans] == [0] + [s.stop for s in spans[:-1]]
+        assert spans[-1].stop == size
+        assert 1 <= len(spans) <= workers
+        if size < 2 * parallel.MIN_SPAN:
+            assert len(spans) == 1
+        else:
+            assert all(s.stop - s.start >= parallel.MIN_SPAN for s in spans)
+            assert len(spans) == min(workers, size // parallel.MIN_SPAN)
 
 
-def test_run_keeps_piece_order_and_runs_the_first_of_each_round_here(set_workers):
-    set_workers(2)
+def test_run_keeps_piece_order_and_runs_the_first_piece_here(set_workers):
+    set_workers(3)
     here = threading.get_ident()
-    threads = parallel.run(lambda _: threading.get_ident(), range(5))
-    assert threads[0::2] == [here] * 3
-    assert here not in threads[1::2]
-    assert parallel.run(lambda p: p * p, range(7)) == [p * p for p in range(7)]
+    threads = parallel.run(lambda _: threading.get_ident(), range(3))
+    assert threads[0] == here
+    assert here not in threads[1:]
+    assert parallel.run(lambda p: p * p, [4, 2, 3]) == [16, 4, 9]
 
 
 @pytest.mark.parametrize("failing", [0, 1])  # this thread's piece, or the pool's
-def test_exception_in_a_piece_reaches_the_caller_after_its_round(set_workers, failing):
-    set_workers(2)
+def test_exception_in_a_piece_reaches_the_caller_after_every_piece(set_workers, failing):
+    set_workers(3)
     finished = []
 
     def piece(p):
@@ -65,9 +62,9 @@ def test_exception_in_a_piece_reaches_the_caller_after_its_round(set_workers, fa
         finished.append(p)
 
     with pytest.raises(KeyError, match=f"piece {failing}"):
-        parallel.run(piece, range(4))
-    assert finished == [1 - failing]  # the other piece of the round ran to its end; no more
-    assert parallel.run(lambda p: -p, range(5)) == [0, -1, -2, -3, -4]
+        parallel.run(piece, range(3))
+    assert sorted(finished) == [p for p in range(3) if p != failing]
+    assert parallel.run(lambda p: -p, range(3)) == [0, -1, -2]
 
 
 def vector_work(set_workers, workers, steps=3):
@@ -86,7 +83,8 @@ def vector_work(set_workers, workers, steps=3):
 
 def test_vector_work_on_two_workers_is_bit_for_bit_one_workers(set_workers):
     set_workers(2)
-    assert len(parallel.spans(SIZE, ADAM_BLOCK)) == 2
+    spans = parallel.spans(SIZE)
+    assert len(spans) == 2 and spans[0].stop % ADAM_BLOCK != 0  # the cut falls inside a block
     one, two = vector_work(set_workers, 1), vector_work(set_workers, 2)
     for a, b in zip(one[:3], two[:3]):
         assert np.array_equal(a, b)
@@ -186,7 +184,7 @@ def train_two_steps(set_workers, workers):
 def test_train_steps_on_two_workers_are_bit_for_bit_one_workers(set_workers, monkeypatch):
     monkeypatch.setattr(decoder, "HEAD_CHUNK_BYTES", 8 * 16_388 * 4)  # 4 rows a chunk
     one, two = train_two_steps(set_workers, 1), train_two_steps(set_workers, 2)
-    assert len(parallel.spans(one[1].size, ADAM_BLOCK)) == 2
+    assert len(parallel.spans(one[1].size)) == 2
     assert one[0] == two[0]
     for a, b in zip(one[1:], two[1:]):
         assert np.array_equal(a, b)
@@ -197,7 +195,7 @@ def test_non_finite_gradient_in_the_second_span_stops_the_step(set_workers,
     set_workers(2)
     config, params, adam, batches = large_vector_setup()
     before = params.values.vector.copy()
-    second = parallel.spans(before.size, ADAM_BLOCK)[1]
+    second = parallel.spans(before.size)[1]
     poisoned = nan_in_one_gradient()
     with pytest.raises(FloatingPointError, match="non-finite gradient of dec_recur_w at step 1"):
         train_step(batches[0], params, adam, config, rng=np.random.default_rng(0))

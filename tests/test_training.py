@@ -117,7 +117,7 @@ def stacked_init_vector(config, v, table=None):
         emb = rng.uniform(-0.1, 0.1, size=(v, d_e))
         emb[PAD] = 0.0
     else:
-        emb = table.weights.data
+        emb = table.weights
     tensors = [emb, *cell(d_e), *cell(d_e), xavier(d, config.d_a, (config.d_a, d)),
                xavier(config.d_a, config.n_a, (config.n_a, config.d_a)),
                xavier(2 * d, d, (d, 2 * d)), xavier(2 * d, d, (d, 2 * d)), *cell(d_e),
