@@ -113,11 +113,6 @@ def record(name: str, inputs: tuple, output: Matrix, backward) -> None:
         tapes[-1].entries.append((name, inputs, output, backward))
 
 
-def recording() -> bool:
-    """Whether a tape is active in this context, so an op can skip work only its backward uses."""
-    return bool(_TAPES.get())
-
-
 def sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the logistic function of z into out, in the tanh form, which cannot overflow."""
     np.tanh(np.multiply(z, 0.5, out=out), out=out)
@@ -277,7 +272,7 @@ def select_rows(m: Matrix, ids) -> Matrix:
     nothing shaped like m is made unless m.grad is None.
     """
     idx = np.asarray(ids, dtype=np.intp)
-    out = Matrix(m.data[idx].copy())
+    out = Matrix(m.data[idx])  # integer-array indexing copies, so out never aliases m
 
     def backward():
         cols = m.cols

@@ -78,6 +78,8 @@ def _cmd_gen_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.resume is not None and args.embeddings is not None:
+        raise ValueError("--embeddings cannot be used with --resume")
     corpus = Corpus.load(args.corpus)
     config = TrainConfig(
         objective=args.objective, d_cell=args.d_cell, d_a=args.d_a, n_a=args.n_a,
@@ -87,7 +89,7 @@ def _cmd_train(args) -> int:
     )
     table = None
     if args.embeddings is not None:
-        vocab = build_vocab(corpus, 1)
+        vocab = build_vocab(corpus)
         table = load_embeddings(args.embeddings, vocab, config.d_e, seed=config.seed)
         print(f"embedding coverage: {table.coverage:.3f}")
     result = train(config, corpus, out_dir=args.out, embedding_table=table,

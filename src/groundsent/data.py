@@ -60,8 +60,8 @@ class Vocabulary:
         return self.tokens[len(RESERVED):]
 
 
-def build_vocab(corpus: "Corpus", min_count: int = 1) -> Vocabulary:
-    """Count tokens over src and tgt captions; keep those with frequency >= min_count.
+def build_vocab(corpus: "Corpus") -> Vocabulary:
+    """Every token of the src and tgt captions, reserved strings aside.
 
     Ids after the reserved block are assigned by descending frequency, ties
     broken lexicographically, so two builds over the same corpus agree.
@@ -72,9 +72,7 @@ def build_vocab(corpus: "Corpus", min_count: int = 1) -> Vocabulary:
     for rec in corpus.records:
         counts.update(tokenize(rec.src))
         counts.update(tokenize(rec.tgt))
-    kept = [t for t, c in counts.items() if c >= min_count and t not in RESERVED]
-    kept.sort(key=lambda t: (-counts[t], t))
-    return Vocabulary(kept)
+    return Vocabulary(sorted(counts.keys() - RESERVED, key=lambda t: (-counts[t], t)))
 
 
 @dataclass

@@ -4,14 +4,13 @@ The sentence representation enters only through the initial-state
 projections; each step is then teacher-forced on the previous gold token.
 Lane layout as in the encoder: the (B, L) targets, right-padded with PAD,
 are read time-major, so row t*B + b of the step inputs, states and logits
-is step t of lane b. All input rows are projected by one matmul, the
-recurrence runs as one fused op (`encoder.run_lanes`) from the projected
-initial state, and the states reach the vocabulary through one fused
-logits-and-NLL op (`cross_entropy_rows`). Steps whose target is PAD are
-dropped before the head, so padding adds nothing to the loss and gets no
-gradient. The head runs the kept rows in cache-sized chunks, one chunk per
-core at a time (`parallel.run`), and, while a tape records, forms its
-gradients in the forward, so no (rows, V) array is made.
+is step t of lane b. One `encoder.run_lanes` call projects the step inputs
+and runs the recurrence from the projected initial state; the states reach
+the vocabulary through one fused logits-and-NLL op (`cross_entropy_rows`).
+Steps whose target is PAD are dropped before the head, so padding adds
+nothing to the loss and gets no gradient. The head runs the kept rows in
+cache-sized chunks, one chunk per core at a time (`parallel.run`), and
+forms its gradients in the forward, so no (rows, V) array is made.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from . import autodiff as ad
 from . import parallel
 from .autodiff import Matrix, ShapeError
 from .data import PAD
-from .encoder import LstmCellParams, project_inputs, run_lanes
+from .encoder import LstmCellParams, run_lanes
 
 # Bytes of each of the vocabulary head's (rows, V) chunk buffers: 52 rows at V = 20,000, few
 # enough to stay in cache, many enough that the per-chunk (V, d) out_w gradient update
@@ -60,12 +59,12 @@ def cross_entropy_rows(states: Matrix, out_w: Matrix, out_b: Matrix, targets: np
     HEAD_CHUNK_BYTES // (8 V) rows. The chunks run in rounds of one per core,
     one `parallel.run` call a round, each chunk through its round slot's
     reused (chunk, V) buffer. A chunk computes its logits, shifts them by the
-    row max, exponentiates them in place and sums its rows' losses. While a tape
-    records, it then turns the buffer into softmax - onehot, writes its rows
-    of the states gradient and returns its parts of the unscaled out_w and
-    out_b gradients; the loss is linear in out.grad, so backward only scales
-    and accumulates them. The losses and parts are added in chunk order, as
-    one thread would. Dropped rows get an exactly zero states gradient.
+    row max, exponentiates them in place and sums its rows' losses. It then
+    turns the buffer into softmax - onehot, writes its rows of the states
+    gradient and returns its parts of the unscaled out_w and out_b gradients;
+    the loss is linear in out.grad, so backward only scales and accumulates
+    them (with no tape, nothing does). The losses and parts are added in chunk
+    order, as one thread would. Dropped rows get an exactly zero gradient.
     """
     kept = np.flatnonzero(keep)
     h, t, w = states.data[kept], targets[kept], out_w.data
@@ -73,10 +72,8 @@ def cross_entropy_rows(states: Matrix, out_w: Matrix, out_b: Matrix, targets: np
     starts = range(0, kept.size, chunk)
     width = max(1, min(parallel.WORKERS, len(starts)))  # chunks in flight, one buffer slot each
     bufs = np.empty((width, min(chunk, kept.size), w.shape[0]))
-    grads = ad.recording()  # on this thread: pool threads see no tape
-    if grads:
-        g_h, g_w, g_b = np.empty_like(h), np.zeros_like(w), np.zeros_like(out_b.data)
-        parts_w = np.empty((width, *w.shape))
+    g_h, g_w, g_b = np.empty_like(h), np.zeros_like(w), np.zeros_like(out_b.data)
+    parts_w = np.empty((width, *w.shape))
 
     def head(start: int):
         slot, part = start // chunk % width, slice(start, start + chunk)
@@ -88,8 +85,6 @@ def cross_entropy_rows(states: Matrix, out_w: Matrix, out_b: Matrix, targets: np
         target_z = z[rows, tc]
         sums = np.exp(z, out=z).sum(axis=1, keepdims=True)
         loss = float((np.log(sums[:, 0]) - target_z).sum())
-        if not grads:
-            return loss, None, None
         z *= 1.0 / sums
         z[rows, tc] -= 1.0
         np.matmul(z, w, out=g_h[part])
@@ -99,9 +94,8 @@ def cross_entropy_rows(states: Matrix, out_w: Matrix, out_b: Matrix, targets: np
     for first in range(0, len(starts), width):  # a round's parts are added before the next
         for loss, part_w, part_b in parallel.run(head, starts[first : first + width]):
             total += loss
-            if grads:
-                g_w += part_w
-                g_b += part_b
+            g_w += part_w
+            g_b += part_b
     out = Matrix([[total]])
 
     def backward():
@@ -132,6 +126,6 @@ def caption_nll(params: DecoderParams, embeddings: Matrix, sentence_reps: Matrix
         raise ShapeError(f"caption_nll: {tgt.shape[0]} targets for {sentence_reps.rows} reps")
     h, c = init_state(params, sentence_reps)
     xs = ad.select_rows(embeddings, tgt[:, :-1].T.reshape(-1))
-    states = run_lanes(params.cell, project_inputs(params.cell, xs), h, c)
+    states = run_lanes(params.cell, xs, h, c)
     targets = tgt[:, 1:].T.reshape(-1)
     return cross_entropy_rows(states, params.out_w, params.out_b, targets, targets != PAD)

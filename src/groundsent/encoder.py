@@ -2,9 +2,9 @@
 
 Lane layout: a batch is a (B, T) id matrix, one sentence per row, padded
 on the right with PAD. Per-step values are (T*B, width) matrices in
-time-major order, row t*B + b holding step t of lane b. Each direction
-projects all its input rows with one matmul, then runs its T steps over
-(B, d_cell) states as one fused op (`run_lanes`).
+time-major order, row t*B + b holding step t of lane b. Each direction is
+one `run_lanes` call: it projects all its input rows with one matmul, then
+runs its T steps over (B, d_cell) states as one fused op.
 The backward direction reads each lane's real tokens reversed through the
 reversed-index map, row t*B + b <- row (len_b-1-t)*B + b on real steps and
 itself on padding; the map is its own inverse, so the same gather restores
@@ -48,25 +48,21 @@ class EncoderParams:
     attn_heads: Matrix  # (n_a, d_a)
 
 
-def project_inputs(cell: LstmCellParams, xs: Matrix) -> Matrix:
-    """Input part of the gate pre-activations of all rows at once: xs @ input_w + bias."""
-    return ad.add_rowvec(ad.matmul(xs, cell.input_w), cell.bias)
+def run_lanes(cell: LstmCellParams, xs: Matrix, h0: Matrix, c0: Matrix) -> Matrix:
+    """Run the recurrence from (h0, c0) over time-major inputs xs (T*B, d_in), B = h0.rows.
 
-
-def run_lanes(cell: LstmCellParams, x_pre: Matrix, h0: Matrix, c0: Matrix) -> Matrix:
-    """Run the recurrence from (h0, c0) over time-major pre-activations (T*B, 4d), B = h0.rows.
-
-    Returns the hidden states of every step, time-major (T*B, d). x_pre
-    comes from `project_inputs`, so input_w and bias get their gradients
-    through that projection. One fused op with an analytic backward: BPTT
-    into one (T*B, 4d) pre-activation gradient, then recur_w's gradient as
-    one product over all steps.
+    Returns the hidden states of every step, time-major (T*B, d). All input
+    rows are first projected at once, xs @ input_w + bias, by the recorded
+    `matmul` and `add_rowvec` ops; the steps then run as one fused op with an
+    analytic backward: BPTT into one (T*B, 4d) pre-activation gradient, then
+    recur_w's gradient as one product over all steps.
     """
+    x_pre = ad.add_rowvec(ad.matmul(xs, cell.input_w), cell.bias)
     lanes, d = h0.shape
     if (x_pre.cols != 4 * d or x_pre.rows % lanes or c0.shape != h0.shape
             or cell.recur_w.shape != (d, 4 * d)):
         raise ShapeError(
-            f"run_lanes: x_pre {x_pre.shape}, h0 {h0.shape}, c0 {c0.shape} "
+            f"run_lanes: pre-activations {x_pre.shape}, h0 {h0.shape}, c0 {c0.shape} "
             f"vs recur_w {cell.recur_w.shape}"
         )
     steps = x_pre.rows // lanes
@@ -141,10 +137,8 @@ def encode(params: EncoderParams, embeddings: Matrix, token_ids) -> tuple[Matrix
 
     xs = ad.select_rows(embeddings, ids.T.reshape(-1))
     zeros = Matrix(np.zeros((lanes, d)))
-    fwd = run_lanes(params.forward_cell, project_inputs(params.forward_cell, xs), zeros, zeros)
-    bwd = run_lanes(params.backward_cell,
-                    project_inputs(params.backward_cell, ad.select_rows(xs, reversed_rows)),
-                    zeros, zeros)
+    fwd = run_lanes(params.forward_cell, xs, zeros, zeros)
+    bwd = run_lanes(params.backward_cell, ad.select_rows(xs, reversed_rows), zeros, zeros)
     # Row (len_b - 1)*B + b is lane b's last real step going forward and,
     # in the backward direction's reversed order, its first token.
     last = (lengths - 1) * lanes + np.arange(lanes)

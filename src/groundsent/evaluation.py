@@ -17,9 +17,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .autodiff import Matrix
-from .data import UNK, CaptionRecord, Sample, Vocabulary, pad_sequences, tokenize
+from .data import BOS, EOS, UNK, CaptionRecord, Sample, Vocabulary, pad_sequences, tokenize
 from .decoder import caption_nll
-from .encoder import encode_sentence
+from .encoder import attend, encode, encode_sentence
 from .grounding import cosine_matrix, project
 from .training import ModelParameters
 
@@ -47,7 +47,7 @@ class RetrievalReport:
 @dataclass
 class SalienceRecord:
     tokens: list[str]
-    attention: np.ndarray  # (n_a, T) over real tokens, rows renormalized
+    attention: np.ndarray  # (n_a, T), each row a distribution over the real tokens
     pooled: np.ndarray     # (T,) max over heads
 
     def to_dict(self) -> dict:
@@ -123,19 +123,19 @@ def retrieval_eval(params: ModelParameters,
 def salience(params: ModelParameters, vocab: Vocabulary, sentence: str) -> SalienceRecord:
     """Per-token attention salience for one sentence.
 
-    Attention runs over the BOS/EOS-wrapped sequence; the wrapper columns
-    are dropped and each head row renormalized, so the output rows are
-    distributions over the real tokens only. Pooled salience is the max
-    over heads per token.
+    The encoder runs over the BOS/EOS-wrapped ids; attention then masks the
+    wrapper steps as it masks padding, so each row is a head's softmax over
+    the real tokens. Pooled salience is the max over heads per token.
     """
     tokens = tokenize(sentence)
     ids = vocab.encode(sentence)
     if not any(i != UNK for i in ids[1:-1]):
         raise ValueError("sentence has no in-vocabulary tokens")
-    _, weights = encode_sentence(params.encoder, params.embeddings, ids)
-    real = weights[0, :, 1:-1]
-    real = real / real.sum(axis=1, keepdims=True)
-    return SalienceRecord(tokens=tokens, attention=real, pooled=real.max(axis=0))
+    states, _ = encode(params.encoder, params.embeddings, ids)
+    real = ((ids != BOS) & (ids != EOS))[None]
+    _, weights = attend(params.encoder.attn_proj, params.encoder.attn_heads, states, real)
+    attention = weights[0, :, 1:-1]
+    return SalienceRecord(tokens=tokens, attention=attention, pooled=attention.max(axis=0))
 
 
 def salient_hit(params: ModelParameters, vocab: Vocabulary, record: CaptionRecord) -> bool:

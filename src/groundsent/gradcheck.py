@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .autodiff import Matrix, Tape, grad_check
 from .data import Corpus, CaptionRecord, build_vocab, make_batches, numericalize
 from .decoder import caption_nll, cross_entropy_rows
-from .encoder import attend, encode_sentence, masked_attention, project_inputs, run_lanes
+from .encoder import attend, encode_sentence, masked_attention, run_lanes
 from .grounding import grounding_loss, ranking_loss
 from .training import TrainConfig, composite_loss, init_params
 
@@ -129,7 +129,7 @@ def _model_checks(seed: int) -> list[CheckResult]:
     config = TrainConfig(objective="cap2all", d_cell=4, d_a=3, n_a=2, d_e=4,
                          d_img=5, batch_size=3, epochs=1, seed=seed)
     corpus = _short_corpus(seed, config.d_img)
-    vocab = build_vocab(corpus, 1)
+    vocab = build_vocab(corpus)
     samples = numericalize(corpus, vocab)
     batch = make_batches(samples, config.batch_size, seed=seed)[0]
     params = init_params(config, vocab.size)
@@ -145,7 +145,7 @@ def _model_checks(seed: int) -> list[CheckResult]:
     readout_h = _readout(rng, (3 * 2, config.d_cell))
 
     def chain3(_):
-        states = run_lanes(cell, project_inputs(cell, Matrix(xs)), h0, c0)
+        states = run_lanes(cell, Matrix(xs), h0, c0)
         return ad.sum_all(ad.mul(readout_h, states))
 
     worst = max(grad_check(chain3, theta)

@@ -8,9 +8,8 @@ rules:
 - it writes only its own slice, or returns a partial that the caller adds
   in piece order, the order the serial loop adds in;
 - it never calls `run`;
-- it never touches the tape. Read `autodiff.recording()` on the calling
-  thread: pool threads have their own contextvars context, where no tape
-  is active.
+- it never touches the tape: pool threads have their own contextvars
+  context, where no tape is active.
 """
 
 from __future__ import annotations

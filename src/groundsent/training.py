@@ -367,7 +367,7 @@ def train(config: TrainConfig, corpus: Corpus, out_dir=None,
     if len(corpus) < 2:
         raise ValueError(f"corpus has {len(corpus)} sample(s); training needs at least 2 "
                          "to form a batch")
-    vocab = build_vocab(corpus, min_count=1)
+    vocab = build_vocab(corpus)
     samples = numericalize(corpus, vocab)
 
     if resume_from is not None:

@@ -12,6 +12,7 @@ import pytest
 from groundsent import checkpoint as ckpt
 from groundsent import cli
 from groundsent.cli import build_parser, main
+from groundsent.evaluation import salience
 from groundsent.training import TrainConfig
 
 SMALL_DIMS = ["--d-cell", "6", "--d-a", "4", "--n-a", "2", "--d-e", "6"]
@@ -344,6 +345,16 @@ def test_train_resume_without_later_epochs_fails_before_writing(workspace, tmp_p
     assert not run.exists()
 
 
+def test_train_resume_with_embeddings_fails_before_reading_them(workspace, tmp_path, capsys):
+    run = tmp_path / "run"
+    _assert_fails_with_one_error(
+        ["train", "--corpus", str(workspace["corpus"]), "--out", str(run), "--epochs", "3",
+         "--batch", "4", "--seed", "3", *SMALL_DIMS, "--resume", str(workspace["checkpoint"]),
+         "--embeddings", str(tmp_path / "never-read.txt")],
+        capsys, workspace["checkpoint"], "--embeddings cannot be used with --resume")
+    assert not run.exists()
+
+
 def test_eval_on_corpus_of_other_image_width_fails_cleanly(workspace, tmp_path, capsys):
     corpus = tmp_path / "wide.jsonl"
     assert main(["gen-synth", "--n", "20", "--vocab", "16", "--d-img", "16", "--seed", "3",
@@ -391,6 +402,35 @@ def test_checkpoint_with_non_finite_value_fails_cleanly(workspace, tmp_path, cap
     _assert_fails_with_one_error(_reads_of(workspace, bad, run)[command], capsys, bad,
                                  f"{bad}: truncated or corrupt checkpoint")
     assert not run.exists()
+
+
+def _scale_attention_by_1000(params, adam):
+    for name in ("attn_proj", "attn_heads"):
+        params.named()[name].data[...] *= 1000.0
+
+
+def _strict_json(text: str):
+    """json.loads that rejects NaN and infinities, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_salience_on_saturated_attention_is_a_distribution(workspace, tmp_path):
+    # saturated scores put all of a head's softmax mass on BOS or EOS, so renormalizing
+    # the real tokens' underflowed weights after dropping those columns would be 0/0
+    params, _, _, vocab, _ = ckpt.load(_resaved(workspace, tmp_path, _scale_attention_by_1000))
+    for sentence in ("obj01 vis00", "obj07 vis01", "vis00 obj07"):
+        rec = salience(params, vocab, sentence)
+        np.testing.assert_allclose(rec.attention.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_salience_command_on_saturated_attention_prints_strict_json(workspace, tmp_path,
+                                                                    capsys):
+    path = _resaved(workspace, tmp_path, _scale_attention_by_1000)
+    assert main(["salience", "--checkpoint", str(path), "--sentence", "obj01 vis00"]) == 0
+    out = _strict_json(capsys.readouterr().out)
+    np.testing.assert_allclose(np.sum(out["attention"], axis=1), 1.0, atol=1e-12)
 
 
 def _set_step_to_minus_one(params, adam):

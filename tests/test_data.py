@@ -44,51 +44,42 @@ def test_tokenize_drops_pure_punctuation():
 # vocabulary
 
 
-def test_build_vocab_min_count_threshold():
-    rec = CaptionRecord(id="r0", src="a a b", tgt="", img=np.ones(4))
-    vocab = build_vocab(Corpus(d_img=4, records=[rec]), min_count=2)
-    # only "a" survives on top of the 4 reserved ids
-    assert vocab.size == 5
-    assert vocab.id_of("a") == 4
-    assert vocab.id_of("b") == UNK
-
-
 def test_build_vocab_counts():
-    vocab = build_vocab(corpus_of(["x y z"]), min_count=1)
+    vocab = build_vocab(corpus_of(["x y z"]))
     assert vocab.size == 7
 
 
 def test_build_vocab_deterministic():
     c = corpus_of(["b a a", "c c b"])
-    v1 = build_vocab(c, 1)
-    v2 = build_vocab(c, 1)
+    v1 = build_vocab(c)
+    v2 = build_vocab(c)
     assert v1.index == v2.index
 
 
 def test_build_vocab_frequency_then_lexicographic():
-    vocab = build_vocab(corpus_of(["b b a a c"]), min_count=1)
+    vocab = build_vocab(corpus_of(["b b a a c"]))
     # a and b tie on frequency -> lexicographic; c is rarer -> last
     assert [vocab.id_of(t) for t in ("a", "b", "c")] == [4, 5, 6]
 
 
 def test_build_vocab_skips_reserved_strings_in_text():
-    vocab = build_vocab(corpus_of(["a <unk> <pad>", "<BOS> b <eos>"]), 1)
+    vocab = build_vocab(corpus_of(["a <unk> <pad>", "<BOS> b <eos>"]))
     assert vocab.content_tokens() == ["a", "b"]
 
 
 def test_encode_reads_reserved_strings_as_unk():
-    vocab = build_vocab(corpus_of(["a b"]), 1)
+    vocab = build_vocab(corpus_of(["a b"]))
     ids = vocab.encode("a <pad> b <bos> <EOS>, <unk>")
     np.testing.assert_array_equal(ids, [BOS, 4, UNK, 5, UNK, UNK, UNK, EOS])
 
 
 def test_build_vocab_empty_corpus_rejected():
     with pytest.raises(ValueError):
-        build_vocab(Corpus(d_img=4, records=[]), 1)
+        build_vocab(Corpus(d_img=4, records=[]))
 
 
 def test_encode_wraps_with_bos_eos():
-    vocab = build_vocab(corpus_of(["cat bowl"]), 1)
+    vocab = build_vocab(corpus_of(["cat bowl"]))
     ids = vocab.encode("cat bowl")
     assert ids[0] == BOS and ids[-1] == EOS and len(ids) == 4
 
@@ -98,7 +89,7 @@ def test_encode_wraps_with_bos_eos():
 
 
 def test_load_embeddings_full_coverage(tmp_path):
-    vocab = build_vocab(corpus_of(["cat bowl"]), 1)
+    vocab = build_vocab(corpus_of(["cat bowl"]))
     path = tmp_path / "emb.txt"
     path.write_text("cat 1.0 2.0 3.0\nbowl 4.0 5.0 6.0\n")
     table = load_embeddings(path, vocab, dim=3)
@@ -107,7 +98,7 @@ def test_load_embeddings_full_coverage(tmp_path):
 
 
 def test_load_embeddings_empty_file(tmp_path):
-    vocab = build_vocab(corpus_of(["cat bowl"]), 1)
+    vocab = build_vocab(corpus_of(["cat bowl"]))
     path = tmp_path / "emb.txt"
     path.write_text("")
     table = load_embeddings(path, vocab, dim=3)
@@ -117,7 +108,7 @@ def test_load_embeddings_empty_file(tmp_path):
 
 
 def test_load_embeddings_repeated_vocabulary_token_names_line(tmp_path):
-    vocab = build_vocab(corpus_of(["cat bowl"]), 1)
+    vocab = build_vocab(corpus_of(["cat bowl"]))
     path = tmp_path / "emb.txt"
     path.write_text("dog 0 0 0\ncat 1 2 3\ndog 0 0 0\nbowl 4 5 6\ncat 7 8 9\n")
     with pytest.raises(ValueError, match="^embedding file line 5: duplicate token 'cat'$"):
@@ -132,7 +123,7 @@ def test_load_embeddings_repeated_vocabulary_token_names_line(tmp_path):
     ("4.0 abc 6.0", "could not convert string to float: 'abc'"),
 ], ids=["width", "nan", "overflow", "not-a-number"])
 def test_load_embeddings_bad_row_names_line(tmp_path, values, message):
-    vocab = build_vocab(corpus_of(["cat bowl"]), 1)
+    vocab = build_vocab(corpus_of(["cat bowl"]))
     path = tmp_path / "emb.txt"
     path.write_text(f"cat 1.0 2.0 3.0\nbowl {values}\n")
     with pytest.raises(ValueError, match=f"^embedding file line 2: {message}$"):
@@ -210,9 +201,9 @@ def test_corpus_roundtrip_identical_samples(tmp_path):
     corpus.save(path)
     loaded = Corpus.load(path)
     assert loaded.d_img == corpus.d_img
-    vocab = build_vocab(corpus, 1)
+    vocab = build_vocab(corpus)
     orig = numericalize(corpus, vocab)
-    redo = numericalize(loaded, build_vocab(loaded, 1))
+    redo = numericalize(loaded, build_vocab(loaded))
     assert len(orig) == len(redo)
     for a, b in zip(orig, redo):
         assert a.id == b.id
@@ -277,7 +268,7 @@ def test_corpus_load_rejects_non_finite_image_naming_line(tmp_path, value):
 
 def batch_fixture(n=5, seed=0):
     corpus = gen_synthetic(n, 16, 8, seed=seed)
-    vocab = build_vocab(corpus, 1)
+    vocab = build_vocab(corpus)
     return numericalize(corpus, vocab)
 
 

@@ -9,8 +9,7 @@ from groundsent import autodiff as ad
 from groundsent.autodiff import Matrix, Tape, grad_check
 from groundsent.data import PAD, pad_sequences
 from groundsent.encoder import (
-    EncoderParams, LstmCellParams, attend, compose, encode, encode_sentence, project_inputs,
-    run_lanes,
+    EncoderParams, LstmCellParams, attend, compose, encode, encode_sentence, run_lanes,
 )
 
 
@@ -63,7 +62,7 @@ def time_major(lanes):
 def test_lstm_step_zero_weights_gives_zero_state():
     rng = np.random.default_rng(0)
     cell = make_cell(3, 4, rng, zero=True)
-    h = run_lanes(cell, project_inputs(cell, Matrix(rng.standard_normal((1, 3)))),
+    h = run_lanes(cell, Matrix(rng.standard_normal((1, 3))),
                   Matrix(np.zeros((1, 4))), Matrix(np.zeros((1, 4))))
     np.testing.assert_array_equal(h.data, np.zeros((1, 4)))
 
@@ -77,7 +76,7 @@ def test_lstm_step_saturated_forget_gate_carries_cell():
     cell.bias.data[0, d : 2 * d] = 30.0    # forget gate ~ 1
     cell.bias.data[0, 3 * d :] = 30.0      # output gate ~ 1
     c_prev = Matrix(rng.standard_normal((1, d)))
-    h = run_lanes(cell, project_inputs(cell, Matrix(rng.standard_normal((1, 2)))),
+    h = run_lanes(cell, Matrix(rng.standard_normal((1, 2))),
                   Matrix(rng.standard_normal((1, d))), c_prev)
     np.testing.assert_allclose(h.data, np.tanh(c_prev.data), atol=1e-9)
 
@@ -96,7 +95,7 @@ def test_lstm_step_extreme_preactivations_stay_finite_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with Tape() as tape:
-            h = run_lanes(cell, project_inputs(cell, x), h0, c0)
+            h = run_lanes(cell, x, h0, c0)
             tape.backward(ad.sum_all(h))
     # lane 0: all gates open and g = 1, so c = 0.5 + 1; lane 1: all gates shut, so c = 0
     np.testing.assert_allclose(h.data, [[np.tanh(1.5)] * d, [0.0, 0.0]], atol=0, rtol=1e-15)
@@ -112,10 +111,10 @@ def test_lstm_step_input_gradients():
     x = Matrix(rng.standard_normal((1, 3)))
 
     def through_x(t):
-        return ad.sum_all(run_lanes(cell, project_inputs(cell, t), h0, c0))
+        return ad.sum_all(run_lanes(cell, t, h0, c0))
 
     def through_c(t):
-        return ad.sum_all(run_lanes(cell, project_inputs(cell, x), h0, t))
+        return ad.sum_all(run_lanes(cell, x, h0, t))
 
     assert grad_check(through_x, x) < 1e-6
     assert grad_check(through_c, c0) < 1e-6

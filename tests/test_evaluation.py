@@ -20,7 +20,7 @@ TINY = dict(d_cell=4, d_a=3, n_a=2, d_e=4, d_img=5, batch_size=3, epochs=1, seed
 def setup_model(n=16, seed=0, v_content=8):
     config = TrainConfig(objective="cap2img", **{**TINY, "seed": seed})
     corpus = gen_synthetic(n, v_content, config.d_img, seed=seed)
-    vocab = build_vocab(corpus, 1)
+    vocab = build_vocab(corpus)
     params = init_params(config, vocab.size)
     return config, corpus, vocab, params, numericalize(corpus, vocab)
 

@@ -25,7 +25,7 @@ TINY = dict(d_cell=4, d_a=3, n_a=2, d_e=4, d_img=5, batch_size=3, epochs=1, seed
 def tiny_setup(objective="cap2all", n=6, seed=0):
     config = TrainConfig(objective=objective, **{**TINY, "seed": seed})
     corpus = gen_synthetic(n, 8, config.d_img, seed=seed)
-    vocab = build_vocab(corpus, 1)
+    vocab = build_vocab(corpus)
     samples = numericalize(corpus, vocab)
     params = init_params(config, vocab.size)
     batch = make_batches(samples, config.batch_size, seed=seed)[0]
@@ -133,7 +133,7 @@ def test_init_params_matches_the_stacked_construction(tmp_path, case):
     config = TrainConfig(**{"defaults": {}, "d_p": {"d_p": 24, "seed": 5},
                             "table": {"seed": 2}}[case])
     corpus = gen_synthetic(64, 64, config.d_img, seed=3)
-    vocab = build_vocab(corpus, 1)
+    vocab = build_vocab(corpus)
     table = None
     if case == "table":
         path = tmp_path / "emb.txt"
@@ -254,7 +254,7 @@ def assert_views_of_vectors(params):
 def test_tensors_stay_views_of_the_parameter_and_gradient_vectors(tmp_path):
     config = TrainConfig(objective="cap2all", **TINY)
     corpus = gen_synthetic(6, 8, config.d_img, seed=4)
-    vocab = build_vocab(corpus, 1)
+    vocab = build_vocab(corpus)
     params = init_params(config, vocab.size)
     assert_views_of_vectors(params)
     params.zero_grads()
@@ -325,7 +325,7 @@ def test_pad_row_gradient_is_exactly_zero():
     # PAD fills the short lanes of a batch; no gradient may reach its embedding row
     config = TrainConfig(objective="cap2all", **TINY)
     corpus = gen_synthetic(12, 8, config.d_img, seed=0)
-    vocab = build_vocab(corpus, 1)
+    vocab = build_vocab(corpus)
     params = init_params(config, vocab.size)
     batches = make_batches(numericalize(corpus, vocab), config.batch_size, seed=0)
     for batch in batches:
@@ -342,7 +342,7 @@ def test_train_step_never_allocates_a_dense_vocabulary_buffer():
     # the head runs in chunks: no (T*B, V) array, though the V-wide tensors are allocated
     config = TrainConfig(batch_size=32, seed=0)
     corpus = gen_synthetic(64, 8, config.d_img, seed=0)
-    batch = make_batches(numericalize(corpus, build_vocab(corpus, 1)), 32, seed=0)[0]
+    batch = make_batches(numericalize(corpus, build_vocab(corpus)), 32, seed=0)[0]
     v = 20_000
     params = init_params(config, v)
     adam = AdamState.for_params(params)
@@ -370,7 +370,7 @@ def test_embedding_gradient_stays_a_view_of_the_gradient_vector():
 def test_train_steps_match_the_dense_scatter_bit_for_bit(monkeypatch, dense_select_rows):
     config = TrainConfig(seed=0)
     corpus = gen_synthetic(128, 16, config.d_img, seed=4)
-    samples = numericalize(corpus, build_vocab(corpus, 1))
+    samples = numericalize(corpus, build_vocab(corpus))
     batches = make_batches(samples, config.batch_size, seed=4)[:4]
 
     def run():
