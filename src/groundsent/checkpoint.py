@@ -15,7 +15,8 @@ share, `[[name, rows, cols], ...]` in `training.parameter_shapes` order, and
 one CRC-32 per vector. Each vector is written with one call and read with one
 `readinto`. A file whose length, layout (checked before allocating) or CRCs
 (of the metadata or of a vector) disagree is refused, and so is one whose
-step or epoch is negative or whose vectors hold a non-finite value.
+step or epoch is negative, whose vectors hold a non-finite value, or whose
+second moment v holds a negative one (Adam takes its square root).
 
 Saving is canonical: writing a just-loaded checkpoint reproduces the
 original bytes. Saving is also crash-safe: the bytes go to a temporary file
@@ -123,6 +124,7 @@ def load(path) -> tuple[ModelParameters, AdamState, TrainConfig, Vocabulary, int
         vectors = _vectors(params, adam)
         if (any(fh.readinto(v) != v.nbytes for v in vectors)
                 or [zlib.crc32(v) for v in vectors] != crcs
-                or not all(map(all_finite, vectors))):
+                or not all(map(all_finite, vectors))
+                or adam.v.vector.min() < 0):
             raise corrupt
     return params, adam, config, vocab, epoch

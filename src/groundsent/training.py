@@ -2,16 +2,19 @@
 
 Recurrent square blocks are initialized orthogonally (sign-corrected QR of
 seeded Gaussians); everything else uses xavier-uniform bounds. Parameters,
-gradients and Adam's moments are each one vector (`FlatTensors`). The step
-checks, clips and updates them elementwise, span by span: a vector of 2**20
-entries or more is cut into `parallel.spans`, one per core, run by
-`parallel.run`, so results are bit-for-bit those of one pass. For a fixed
-BLAS thread count, runs are fully determined by (config, seed, corpus):
-shuffling and dropout streams are re-derived per epoch from the seed, so
-resuming from an epoch checkpoint reproduces the uninterrupted trajectory.
-`groundsent train` does not pin that count (OPENBLAS_NUM_THREADS and the
-like), and at a large vocabulary a different count changes the BLAS sums in
-the last bits, so a run resumed under another count is not bit-for-bit.
+gradients and Adam's moments are each one vector (`FlatTensors`). The
+embedding table comes first, and a batch's gradient is zero outside the rows
+it gathers, so the step checks and clips only those rows and the dense tail
+after the table; Adam's pass alone covers the whole vector. That vector work
+runs span by span: a vector of 2**20 entries or more is cut into
+`parallel.spans`, one per core, run by `parallel.run`, so results are
+bit-for-bit those of one pass. For a fixed BLAS thread count, runs are fully
+determined by (config, seed, corpus): shuffling and dropout streams are
+re-derived per epoch from the seed, so resuming from an epoch checkpoint
+reproduces the uninterrupted trajectory. `groundsent train` does not pin that
+count (OPENBLAS_NUM_THREADS and the like), and at a large vocabulary a
+different count changes the BLAS sums in the last bits, so a run resumed
+under another count is not bit-for-bit.
 """
 
 from __future__ import annotations
@@ -111,8 +114,9 @@ class FlatTensors(dict):
     pages for large arrays, so one write zeroes a whole 2 MB page. At V = 20k,
     d_e = 300, scattering about 300 rows into a fresh gradient zeroes nearly
     all of the 48 MB embedding view: 9 ms, against 3 ms with huge pages off.
-    Keep them on: without them the full clip pass that follows took 51-65 ms
-    instead of 10-13 ms (2-core Xeon, transparent huge pages on `madvise`).
+    Keep them on: without them one elementwise pass over a whole fresh gradient
+    vector (the clip, when it covered every entry) took 51-65 ms instead of
+    10-13 ms (2-core Xeon, transparent huge pages on `madvise`).
     """
 
     def __init__(self, shapes: dict[str, tuple[int, ...]]):
@@ -263,30 +267,54 @@ class AdamState:
 
 
 def adam_step(data: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
+              table: tuple[int, int, np.ndarray] | None = None) -> None:
     """One bias-corrected Adam update of `data`, in place; adds 1 to step.
 
-    Each span runs the block loop with its own scratch buffers.
+    In Kingma & Ba's efficient order (arXiv:1412.6980, section 2) the bias
+    corrections fold into the step size lr * sqrt(bc2) / bc1 and into
+    eps * sqrt(bc2): one division per entry. Each span runs the block loop
+    with its own scratch buffers. `table`, computed by `train_step`, is
+    (entries, row width, rows) of a table at the vector's front whose gradient
+    is 0 outside `rows`. Those rows are updated on copies, written back last;
+    the rest of the table is updated without reading `grad`, which leaves m
+    and v as adding zero terms would, up to the sign of a zero.
     """
     state.step += 1
     bc1, bc2 = 1.0 - beta1**state.step, 1.0 - beta2**state.step
+    step_size, eps_hat = lr * math.sqrt(bc2) / bc1, eps * math.sqrt(bc2)
+    vectors = (data, state.m.vector, state.v.vector)
+
+    def blocks(x, m, v, g, start, stop, scratch) -> None:
+        """Update entries [start, stop) block by block; g is None where the gradient is 0."""
+        for lo in range(start, stop, ADAM_BLOCK):
+            block = slice(lo, min(lo + ADAM_BLOCK, stop))
+            mb, vb = m[block], v[block]
+            a, b = scratch[:, : mb.size]
+            mb *= beta1
+            vb *= beta2
+            if g is not None:
+                mb += np.multiply(g[block], 1.0 - beta1, out=a)
+                vb += np.multiply(np.multiply(g[block], 1.0 - beta2, out=a), g[block], out=a)
+            np.sqrt(vb, out=a)
+            a += eps_hat
+            x[block] -= np.divide(np.multiply(mb, step_size, out=b), a, out=b)
+
+    cut = 0
+    if table is not None:
+        cut, width, rows = table
+        copies = [x[:cut].reshape(-1, width)[rows].reshape(-1) for x in (*vectors, grad)]
+        blocks(*copies, 0, copies[0].size, np.empty((2, ADAM_BLOCK)))
 
     def update(span: slice) -> None:
-        scratch_a, scratch_b = np.empty((2, ADAM_BLOCK))
-        for start in range(span.start, span.stop, ADAM_BLOCK):
-            block = slice(start, min(start + ADAM_BLOCK, span.stop))
-            g, m, v = grad[block], state.m.vector[block], state.v.vector[block]
-            a, b = scratch_a[: g.size], scratch_b[: g.size]
-            m *= beta1
-            m += np.multiply(g, 1.0 - beta1, out=a)
-            v *= beta2
-            v += np.multiply(np.multiply(g, 1.0 - beta2, out=a), g, out=a)
-            np.sqrt(np.divide(v, bc2, out=a), out=a)
-            a += eps
-            np.multiply(np.divide(m, bc1, out=b), lr, out=b)
-            data[block] -= np.divide(b, a, out=b)
+        scratch = np.empty((2, ADAM_BLOCK))
+        blocks(*vectors, None, span.start, min(span.stop, cut), scratch)
+        blocks(*vectors, grad, max(span.start, cut), span.stop, scratch)
 
     parallel.run(update, parallel.spans(data.size))
+    if table is not None:
+        for x, copy in zip(vectors, copies):
+            x[:cut].reshape(-1, width)[rows] = copy.reshape(-1, width)
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +358,23 @@ def train_step(batch: Batch, params: ModelParameters, adam: AdamState, config: T
         if not np.isfinite(loss_value):
             raise FloatingPointError(f"non-finite loss {loss_value} at step {adam.step + 1}")
         tape.backward(loss)
-    grad = params.grads.vector
-    if not all_finite(grad):
+    # The table is the vector's first tensor, and its gradient is 0 outside the rows the
+    # encoder (src) and the decoder (tgt) gather; zeros are finite and survive the clip.
+    # The rows are np.union1d(src, tgt), found by a mask: np.unique imports numpy.ma.
+    grad, table = params.grads.vector, params.embeddings.grad
+    held = np.zeros(len(table), dtype=bool)
+    held[batch.src] = held[batch.tgt] = True
+    rows = np.flatnonzero(held)
+    gathered, tail = table[rows], grad[table.size:]
+    if not (all_finite(gathered.reshape(-1)) and all_finite(tail)):
         name = next(k for k, g in params.grads.items() if not np.isfinite(g).all())
         raise FloatingPointError(f"non-finite gradient of {name} at step {adam.step + 1}")
-    params.embeddings.grad[PAD, :] = 0.0  # PAD row is excluded from updates
-    clip_gradients(grad, config.clip)
+    gathered[rows == PAD] = 0.0  # PAD row is excluded from updates
+    clip_gradients(gathered.reshape(-1), config.clip)
+    table[rows] = gathered
+    clip_gradients(tail, config.clip)
     adam_step(params.values.vector, grad, adam, config.lr, config.beta1, config.beta2,
-              config.adam_eps)
+              config.adam_eps, table=(table.size, table.shape[1], rows))
     params.embeddings.data[PAD, :] = 0.0
     # Made while the tape is live, it sits above the step's activations, so the allocator
     # keeps their pages for the next step instead of trimming them and faulting them back in.

@@ -404,6 +404,19 @@ def test_checkpoint_with_non_finite_value_fails_cleanly(workspace, tmp_path, cap
     assert not run.exists()
 
 
+def _set_negative_in_adam_v(params, adam):
+    adam.v.vector[adam.v.vector.size // 2] = -1e-3
+
+
+@pytest.mark.parametrize("command", ["eval", "resume"])
+def test_checkpoint_with_negative_second_moment_fails_cleanly(workspace, tmp_path, capsys,
+                                                              command):
+    bad, run = _resaved(workspace, tmp_path, _set_negative_in_adam_v), tmp_path / "run"
+    _assert_fails_with_one_error(_reads_of(workspace, bad, run)[command], capsys, bad,
+                                 f"{bad}: truncated or corrupt checkpoint")
+    assert not run.exists()
+
+
 def _scale_attention_by_1000(params, adam):
     for name in ("attn_proj", "attn_heads"):
         params.named()[name].data[...] *= 1000.0

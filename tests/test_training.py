@@ -9,7 +9,7 @@ import pytest
 
 from groundsent import autodiff as ad
 from groundsent import checkpoint as ckpt
-from groundsent import training
+from groundsent import parallel, training
 from groundsent.autodiff import Matrix, Tape
 from groundsent.data import (
     PAD, build_vocab, gen_synthetic, load_embeddings, make_batches, numericalize,
@@ -209,22 +209,23 @@ def test_adam_converges_on_quadratic():
     assert loss_value < 1e-6
 
 
+def reference_update(tensors, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam in Kingma & Ba's efficient order, one temporary array per operation."""
+    bc1, bc2 = 1.0 - beta1**t, 1.0 - beta2**t
+    step_size, eps_hat = lr * np.sqrt(bc2) / bc1, eps * np.sqrt(bc2)
+    for name, data in tensors.items():
+        g = grads[name]
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * g * g
+        data -= step_size * m[name] / (np.sqrt(v[name]) + eps_hat)
+
+
 @pytest.mark.parametrize("block", [None, 8])  # 8: blocks cross tensor boundaries
 def test_adam_step_matches_reference_update_bit_for_bit(monkeypatch, block):
     if block is not None:
         monkeypatch.setattr(training, "ADAM_BLOCK", block)
-
-    # The plain update, one temporary array per operation; adam_step must agree bit for bit.
-    def reference_update(tensors, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        bc1, bc2 = 1.0 - beta1**t, 1.0 - beta2**t
-        for name, data in tensors.items():
-            g = grads[name]
-            m[name] *= beta1
-            m[name] += (1.0 - beta1) * g
-            v[name] *= beta2
-            v[name] += (1.0 - beta2) * g * g
-            data -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
-
     rng = np.random.default_rng(14)
     shapes = {"big": (7, 5), "wide": (1, 12), "mid": (3, 4), "small": (2, 2)}  # 67 entries
     data, grads = FlatTensors(shapes), FlatTensors(shapes)
@@ -242,6 +243,60 @@ def test_adam_step_matches_reference_update_bit_for_bit(monkeypatch, block):
         np.testing.assert_array_equal(data[k], ref[k])
         np.testing.assert_array_equal(state.m[k], ref_m[k])
         np.testing.assert_array_equal(state.v[k], ref_v[k])
+
+
+def test_adam_step_matches_the_textbook_update():
+    # lr * (m / bc1) / (sqrt(v / bc2) + eps), the form of Kingma & Ba's Algorithm 1
+    lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+    rng = np.random.default_rng(15)
+    data = rng.standard_normal(40)
+    want, m, v = data.copy(), np.zeros(40), np.zeros(40)
+    state = AdamState(0, FlatTensors({"x": (1, 40)}), FlatTensors({"x": (1, 40)}))
+    for t in range(1, 9):
+        g = rng.standard_normal(40) * 10.0 ** rng.integers(-6, 2, size=40)
+        adam_step(data, g, state, lr, beta1, beta2, eps)
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        want -= lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+    np.testing.assert_allclose(data, want, rtol=1e-14, atol=0)
+    np.testing.assert_array_equal(state.m.vector, m)
+    np.testing.assert_array_equal(state.v.vector, v)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_adam_over_gathered_table_rows_is_bit_for_bit_dense_adam(monkeypatch, set_workers,
+                                                                 workers):
+    # A 31 x 5 table and a 45-entry tail: 200 entries, which two workers cut at entry 100.
+    # With 7-entry blocks the dense pass has a block across the table's end (155) and,
+    # on two workers, one across the span cut; the table pass must stop at the end.
+    set_workers(workers)
+    monkeypatch.setattr(parallel, "MIN_SPAN", 64)
+    monkeypatch.setattr(training, "ADAM_BLOCK", 7)
+    shapes = {"table": (31, 5), "tail": (1, 45)}
+    spans = parallel.spans(200)
+    assert len(spans) == workers and all(s.start % 7 != 0 for s in spans[1:])
+    assert (155 - spans[-1].start) % 7 != 0
+    rng = np.random.default_rng(16)
+    start = rng.standard_normal(200)
+    dense, sparse = FlatTensors(shapes), FlatTensors(shapes)
+    dense.vector[:] = sparse.vector[:] = start
+    ref = {k: a.copy() for k, a in dense.items()}
+    states = [AdamState(0, FlatTensors(shapes), FlatTensors(shapes)) for _ in range(2)]
+    ref_m, ref_v = ({k: np.zeros(s) for k, s in shapes.items()} for _ in range(2))
+    for t in range(1, 4):
+        rows = np.union1d([0, 19, 20, 30], rng.choice(31, size=4))  # row 20 holds entry 100
+        grads = FlatTensors(shapes)
+        grads["table"][rows] = rng.standard_normal((rows.size, 5))
+        grads["tail"][...] = rng.standard_normal((1, 45))
+        adam_step(dense.vector, grads.vector.copy(), states[0], lr=0.01)
+        adam_step(sparse.vector, grads.vector, states[1], lr=0.01, table=(155, 5, rows))
+        reference_update(ref, grads, ref_m, ref_v, t, lr=0.01)
+    for k in shapes:
+        for got in (dense, sparse):
+            np.testing.assert_array_equal(got[k], ref[k], err_msg=k)
+        for state in states:
+            np.testing.assert_array_equal(state.m[k], ref_m[k], err_msg=k)
+            np.testing.assert_array_equal(state.v[k], ref_v[k], err_msg=k)
 
 
 def assert_views_of_vectors(params):
@@ -336,6 +391,73 @@ def test_pad_row_gradient_is_exactly_zero():
             tape.backward(loss)
         assert np.all(params.embeddings.grad[PAD] == 0.0)
         assert np.any(params.embeddings.grad != 0.0)
+
+
+def gathered_rows_setup(objective="cap2all", clip=5.0):
+    """Parameters at 43 rows, a padded batch and an unpadded one; neither holds every row."""
+    # seed 1: at this size, seed 0's projection passes cap2img no gradient at all
+    config = TrainConfig(objective=objective, **{**TINY, "seed": 1, "clip": clip})
+    corpus = gen_synthetic(48, 40, config.d_img, seed=6)
+    vocab = build_vocab(corpus)
+    samples = numericalize(corpus, vocab)
+    same_length = [s for s in samples if len(s.src) == len(samples[0].src)]
+    batches = [make_batches(group, 3, seed=6)[0] for group in (samples, same_length)]
+    assert PAD in batches[0].src and PAD not in np.concatenate([batches[1].src, batches[1].tgt])
+    return config, init_params(config, vocab.size), batches
+
+
+@pytest.mark.parametrize("objective", training.OBJECTIVES)
+def test_table_gradient_is_zero_outside_the_rows_a_batch_holds(objective):
+    # train_step checks, clips and zeroes PAD on these rows only
+    config, params, batches = gathered_rows_setup(objective)
+    for batch in batches:
+        params.zero_grads()
+        with Tape() as tape:
+            loss, _, _ = composite_loss(objective, batch, params, train_mode=True,
+                                        rng=np.random.default_rng(0))
+            tape.backward(loss)
+        outside = np.setdiff1d(np.arange(params.embeddings.rows),
+                               np.union1d(batch.src, batch.tgt))
+        assert outside.size > 0 and params.embeddings.grad.any()
+        assert not params.embeddings.grad[outside].any()
+
+
+def test_nan_in_a_gathered_table_row_stops_the_step_before_any_update(monkeypatch):
+    config, params, (batch, _) = gathered_rows_setup()
+    adam = AdamState.for_params(params)
+    before = params.values.vector.copy()
+    backward = Tape.backward
+
+    def poisoned(tape, loss):
+        backward(tape, loss)
+        params.embeddings.grad[batch.src[0, 1], 2] = np.nan
+
+    monkeypatch.setattr(Tape, "backward", poisoned)
+    with pytest.raises(FloatingPointError, match="non-finite gradient of embeddings at step 1"):
+        train_step(batch, params, adam, config, rng=np.random.default_rng(0))
+    assert np.array_equal(params.values.vector, before) and adam.step == 0
+    assert not adam.m.vector.any() and not adam.v.vector.any()
+
+
+def test_binding_clip_of_the_gathered_rows_equals_a_full_clip(monkeypatch):
+    config, params, (batch, _) = gathered_rows_setup(clip=0.01)
+    raw = []
+    backward = Tape.backward
+
+    def keep(tape, loss):
+        backward(tape, loss)
+        raw.append(params.grads.vector.copy())
+
+    monkeypatch.setattr(Tape, "backward", keep)
+    train_step(batch, params, AdamState.for_params(params), config, rng=np.random.default_rng(0))
+    want = FlatTensors(params.shapes)
+    want.vector[:] = raw[0]
+    rows = np.union1d(batch.src, batch.tgt)
+    assert (np.abs(want["embeddings"][rows]) > 0.01).any()  # the clip binds on the table
+    want["embeddings"][PAD] = 0.0
+    np.clip(want.vector, -0.01, 0.01, out=want.vector)
+    np.testing.assert_array_equal(params.grads.vector, want.vector)
+    assert not params.grads["embeddings"][PAD].any()
 
 
 def test_train_step_never_allocates_a_dense_vocabulary_buffer():

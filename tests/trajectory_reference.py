@@ -1,9 +1,11 @@
 """Reference values of two short training runs, kept in trajectory.json beside this script.
 
-    PYTHONPATH=src python tests/trajectory_reference.py
+    PYTHONPATH=src python tests/trajectory_reference.py [--margin]
 
 writes tests/trajectory.json; `tests/test_trajectory.py` replays both runs and
-compares. The runs are 8 cap2all steps at the defaults, and 4 steps at
+compares. With --margin it writes nothing and prints, for each run, the
+largest relative deviation of a fresh run from the file, measured as the
+test measures it, against the test's tolerance. The runs are 8 cap2all steps at the defaults, and 4 steps at
 V = 20,000 and d_e = 300 with a clip bound small enough to bind, where the
 vocabulary head runs in several chunks and the step's vector work is split.
 For each step the file holds the loss parts; after the last step, each
@@ -14,7 +16,9 @@ say why.
 
 from __future__ import annotations
 
+import argparse
 import json
+import math
 import re
 from pathlib import Path
 
@@ -60,7 +64,34 @@ def tensor_sums(params, adam) -> dict:
     return sums
 
 
+def margin(case: str) -> float:
+    """The largest relative deviation of a fresh run of `case` from trajectory.json.
+
+    Losses and sums of squares are relative to their reference value, and a
+    sum relative to sqrt(size * sum of squares), as in test_trajectory.py.
+    """
+    def relative(diff: float, scale: float) -> float:
+        return abs(diff) / scale if scale else (0.0 if diff == 0.0 else math.inf)
+
+    want = json.loads(PATH.read_text())[case]
+    _, _, params, adam, losses = run(case)
+    deviations = [relative(g - e, abs(e)) for got, expected in zip(losses, want["losses"])
+                  for g, e in zip(got, expected)]
+    for name, (size, total, squares) in tensor_sums(params, adam).items():
+        _, want_total, want_squares = want["tensors"][name]
+        deviations += [relative(total - want_total, math.sqrt(size * want_squares)),
+                       relative(squares - want_squares, want_squares)]
+    return max(deviations)
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--margin", action="store_true",
+                        help="print each run's largest relative deviation from the file")
+    if parser.parse_args().margin:
+        for case in CASES:
+            print(f"{case}: largest relative deviation {margin(case):.2e} (test tolerance 1e-9)")
+        return
     out = {}
     for case in CASES:
         _, _, params, adam, losses = run(case)
