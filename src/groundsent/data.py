@@ -89,7 +89,9 @@ def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> Embeddi
     Tokens absent from the file are initialized uniform in [-0.1, 0.1];
     the PAD row is zeroed. Coverage is the covered fraction of the
     non-reserved vocabulary. Every line must hold `dim` values; those of a
-    vocabulary token must be finite reals, on one line only.
+    vocabulary token must be finite reals, on one line only. A line whose
+    token holds whitespace (its second field is no number) is skipped:
+    `tokenize` splits on whitespace, so no vocabulary token can match it.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
     weights = rng.uniform(-0.1, 0.1, size=(vocab.size, dim))
@@ -100,6 +102,11 @@ def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> Embeddi
             if not parts:
                 continue
             token, values = parts[0], parts[1:]
+            if len(values) > dim:
+                try:
+                    float(values[0])
+                except ValueError:
+                    continue
             if len(values) != dim:
                 raise ValueError(
                     f"embedding file line {lineno}: expected {dim} values, got {len(values)}"

@@ -3,11 +3,11 @@
 All functions here run with frozen parameters and no tape, so they are
 deterministic (dropout off) and safe to run concurrently across inputs.
 
-Sentences are encoded, and captions decoded, as lanes (see `encoder`): chunks of
-ENCODE_CHUNK in stable length order, each PAD-padded into one (B, T) id matrix
-and run by one call; rows come back in input order. A lane's result depends on
-its chunk only through rounding (B = 1 and B > 1 run different BLAS kernels).
-Ranks are computed array-wide.
+Sentences are encoded as lanes (see `encoder`): chunks of ENCODE_CHUNK in
+stable length order, each PAD-padded into one (B, T) id matrix and run by one
+call; rows come back in input order. A lane's result depends on its chunk
+only through rounding (B = 1 and B > 1 run different BLAS kernels). Ranks are
+computed array-wide.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .autodiff import Matrix
-from .data import BOS, EOS, UNK, CaptionRecord, Sample, Vocabulary, pad_sequences, tokenize
-from .decoder import caption_nll
+from .data import BOS, EOS, UNK, Sample, Vocabulary, pad_sequences, tokenize
 from .encoder import attend, encode, encode_sentence
 from .grounding import cosine_matrix, project
 from .training import ModelParameters
@@ -58,18 +57,13 @@ class SalienceRecord:
         }
 
 
-def _chunks(seqs: list[np.ndarray]):
-    """(input rows, PAD-padded (B, T) ids) per chunk of ENCODE_CHUNK, in stable length order."""
-    order = np.argsort([len(s) for s in seqs], kind="stable")
-    for start in range(0, len(seqs), ENCODE_CHUNK):
-        rows = order[start : start + ENCODE_CHUNK]
-        yield rows, pad_sequences([seqs[i] for i in rows])
-
-
 def _encode_ids(params: ModelParameters, seqs: list[np.ndarray]) -> np.ndarray:
     """Combined representation of each id sequence, (n, 2*d_cell), in input order."""
     reps = np.zeros((len(seqs), 2 * params.encoder.forward_cell.hidden_dim))
-    for rows, ids in _chunks(seqs):
+    order = np.argsort([len(s) for s in seqs], kind="stable")
+    for start in range(0, len(seqs), ENCODE_CHUNK):
+        rows = order[start : start + ENCODE_CHUNK]
+        ids = pad_sequences([seqs[i] for i in rows])
         reps[rows] = encode_sentence(params.encoder, params.embeddings, ids)[0].data
     return reps
 
@@ -138,30 +132,6 @@ def salience(params: ModelParameters, vocab: Vocabulary, sentence: str) -> Salie
     return SalienceRecord(tokens=tokens, attention=attention, pooled=attention.max(axis=0))
 
 
-def salient_hit(params: ModelParameters, vocab: Vocabulary, record: CaptionRecord) -> bool:
-    """Does the generator-designated salient token win the pooled salience?"""
-    rec = salience(params, vocab, record.src)
-    return rec.tokens[int(np.argmax(rec.pooled))] == record.salient
-
-
-def salient_hit_rate(params: ModelParameters, vocab: Vocabulary,
-                     records: list[CaptionRecord]) -> float:
-    hits = sum(salient_hit(params, vocab, r) for r in records)
-    return hits / len(records)
-
-
 def embed_lines(params: ModelParameters, vocab: Vocabulary, lines: list[str]) -> np.ndarray:
     """One combined representation per input line, (n, 2*d_cell)."""
     return _encode_ids(params, [vocab.encode(line) for line in lines])
-
-
-def mean_token_nll(params: ModelParameters, samples: list[Sample]) -> float:
-    """Corpus mean per-token caption NLL under frozen parameters.
-
-    Sources are encoded, and targets decoded, each in their own length order.
-    """
-    reps = _encode_ids(params, [s.src for s in samples])
-    total = 0.0
-    for rows, tgt in _chunks([s.tgt for s in samples]):
-        total += caption_nll(params.decoder, params.embeddings, Matrix(reps[rows]), tgt).item()
-    return total / sum(len(s.tgt) - 1 for s in samples)

@@ -136,73 +136,44 @@ def _model_checks(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed + 1000)
     params.values.vector += rng.uniform(-0.05, 0.05, size=params.values.vector.size)  # off kinks
 
-    results = []
-
-    cell = params.encoder.forward_cell
+    enc, dec, proj = params.encoder, params.decoder, params.projection
+    cell = enc.forward_cell
     xs = rng.standard_normal((3 * 2, config.d_e))  # 3 steps of 2 lanes, time-major
     h0 = Matrix(0.5 * rng.standard_normal((2, config.d_cell)))
     c0 = Matrix(0.5 * rng.standard_normal((2, config.d_cell)))
     readout_h = _readout(rng, (3 * 2, config.d_cell))
-
-    def chain3(_):
-        states = run_lanes(cell, Matrix(xs), h0, c0)
-        return ad.sum_all(ad.mul(readout_h, states))
-
-    worst = max(grad_check(chain3, theta)
-                for theta in (cell.input_w, cell.recur_w, cell.bias, h0, c0))
-    results.append(CheckResult("lstm_step/3-chain", worst))
-
     mask = np.array([[True] * 5, [True] * 3 + [False] * 2])  # lanes of 5 and 3 steps
     H = Matrix(rng.standard_normal((5 * 2, config.d_cell)))
     readout_ctx = _readout(rng, (2 * config.n_a, config.d_cell))
-
-    def attend_fn(_):
-        contexts, _ = attend(params.encoder.attn_proj, params.encoder.attn_heads, H, mask)
-        return ad.sum_all(ad.mul(readout_ctx, contexts))
-
-    worst = max(grad_check(attend_fn, theta)
-                for theta in (params.encoder.attn_proj, params.encoder.attn_heads, H))
-    results.append(CheckResult("attend", worst))
-
     readout_rep = _readout(rng, (batch.size, 2 * config.d_cell))
-
-    def pipeline(_):
-        rep, _ = encode_sentence(params.encoder, params.embeddings, batch.src)
-        return ad.sum_all(ad.mul(readout_rep, rep))
-
-    worst = max(grad_check(pipeline, theta)
-                for theta in (params.embeddings, params.encoder.forward_cell.recur_w,
-                              params.encoder.backward_cell.input_w,
-                              params.encoder.attn_proj, params.encoder.attn_heads))
-    results.append(CheckResult("encode_sentence", worst))
-
     rep_fixed = Matrix(rng.standard_normal((batch.size, 2 * config.d_cell)))
-
-    def nll_fn(_):
-        return caption_nll(params.decoder, params.embeddings, rep_fixed, batch.tgt)
-
-    worst = max(grad_check(nll_fn, theta)
-                for theta in (params.decoder.init_h_proj, params.decoder.init_c_proj,
-                              params.decoder.cell.recur_w, params.decoder.out_w,
-                              params.decoder.out_b, params.embeddings, rep_fixed))
-    results.append(CheckResult("caption_nll", worst))
-
     preds = Matrix(rng.standard_normal((3, config.d_img)))
     targets = Matrix(rng.standard_normal((3, config.d_img)))
-    worst = max(grad_check(lambda t: ranking_loss(preds, targets), theta)
-                for theta in (preds, targets))
-    results.append(CheckResult("ranking_loss", worst))
-
     reps3 = Matrix(rng.standard_normal((3, 2 * config.d_cell)))
     images3 = rng.standard_normal((3, config.d_img))
 
-    def ground_fn(_):
-        return grounding_loss(reps3, images3, params.projection)
-
-    worst = max(grad_check(ground_fn, theta)
-                for theta in (reps3, params.projection.weights[0], params.projection.weights[3],
-                              params.projection.biases[0], params.projection.biases[1]))
-    results.append(CheckResult("grounding_loss", worst))
+    checks = [  # (name, scalar function, tensors it is checked in)
+        ("lstm_step/3-chain",
+         lambda _: ad.sum_all(ad.mul(readout_h, run_lanes(cell, Matrix(xs), h0, c0))),
+         (cell.input_w, cell.recur_w, cell.bias, h0, c0)),
+        ("attend",
+         lambda _: ad.sum_all(ad.mul(readout_ctx,
+                                     attend(enc.attn_proj, enc.attn_heads, H, mask)[0])),
+         (enc.attn_proj, enc.attn_heads, H)),
+        ("encode_sentence",
+         lambda _: ad.sum_all(ad.mul(readout_rep,
+                                     encode_sentence(enc, params.embeddings, batch.src)[0])),
+         (params.embeddings, enc.forward_cell.recur_w, enc.backward_cell.input_w,
+          enc.attn_proj, enc.attn_heads)),
+        ("caption_nll", lambda _: caption_nll(dec, params.embeddings, rep_fixed, batch.tgt),
+         (dec.init_h_proj, dec.init_c_proj, dec.cell.recur_w, dec.out_w, dec.out_b,
+          params.embeddings, rep_fixed)),
+        ("ranking_loss", lambda _: ranking_loss(preds, targets), (preds, targets)),
+        ("grounding_loss", lambda _: grounding_loss(reps3, images3, proj),
+         (reps3, proj.weights[0], proj.weights[3], proj.biases[0], proj.biases[1])),
+    ]
+    results = [CheckResult(name, max(grad_check(f, t) for t in tensors))
+               for name, f, tensors in checks]
 
     for objective in ("cap2cap", "cap2img", "cap2all"):
         def objective_fn(_, o=objective):

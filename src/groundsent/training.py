@@ -267,7 +267,7 @@ class AdamState:
 
 
 def adam_step(data: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
+              beta1: float, beta2: float, eps: float,
               table: tuple[int, int, np.ndarray] | None = None) -> None:
     """One bias-corrected Adam update of `data`, in place; adds 1 to step.
 
@@ -345,7 +345,7 @@ class TrainResult:
 
 def train_step(batch: Batch, params: ModelParameters, adam: AdamState, config: TrainConfig,
                rng: np.random.Generator | None = None) -> tuple[float, float, float]:
-    """Forward, backward, clip, Adam, and PAD-row re-zeroing for one batch.
+    """Forward, backward, clip and Adam for one batch.
 
     Raises FloatingPointError, before any parameter changes, on a non-finite
     loss or gradient.
@@ -369,13 +369,11 @@ def train_step(batch: Batch, params: ModelParameters, adam: AdamState, config: T
     if not (all_finite(gathered.reshape(-1)) and all_finite(tail)):
         name = next(k for k, g in params.grads.items() if not np.isfinite(g).all())
         raise FloatingPointError(f"non-finite gradient of {name} at step {adam.step + 1}")
-    gathered[rows == PAD] = 0.0  # PAD row is excluded from updates
     clip_gradients(gathered.reshape(-1), config.clip)
     table[rows] = gathered
     clip_gradients(tail, config.clip)
     adam_step(params.values.vector, grad, adam, config.lr, config.beta1, config.beta2,
               config.adam_eps, table=(table.size, table.shape[1], rows))
-    params.embeddings.data[PAD, :] = 0.0
     # Made while the tape is live, it sits above the step's activations, so the allocator
     # keeps their pages for the next step instead of trimming them and faulting them back in.
     params.next_grads = FlatTensors(params.shapes)

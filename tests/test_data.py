@@ -121,13 +121,27 @@ def test_load_embeddings_repeated_vocabulary_token_names_line(tmp_path):
     ("4.0 5.0", "expected 3 values, got 2"), ("4.0 nan 6.0", "non-finite value"),
     ("4.0 1e400 6.0", "non-finite value"),
     ("4.0 abc 6.0", "could not convert string to float: 'abc'"),
-], ids=["width", "nan", "overflow", "not-a-number"])
+    ("4.0 5.0 6.0 7.0", "expected 3 values, got 4"),
+], ids=["width", "nan", "overflow", "not-a-number", "wider"])
 def test_load_embeddings_bad_row_names_line(tmp_path, values, message):
     vocab = build_vocab(corpus_of(["cat bowl"]))
     path = tmp_path / "emb.txt"
     path.write_text(f"cat 1.0 2.0 3.0\nbowl {values}\n")
     with pytest.raises(ValueError, match=f"^embedding file line 2: {message}$"):
         load_embeddings(path, vocab, dim=3)
+
+
+def test_load_embeddings_skips_tokens_holding_whitespace(tmp_path):
+    # GloVe's Common Crawl tables hold rows like ". . ." whose token has spaces in it;
+    # str.split also splits on a non-breaking space
+    vocab = build_vocab(corpus_of(["cat bowl"]))
+    path = tmp_path / "emb.txt"
+    path.write_text("cat 1.0 2.0\n. . . 0.3 0.4\ncat\u00a0bowl 0.5 0.6\nbowl 3.0 4.0\n",
+                    encoding="utf-8")
+    table = load_embeddings(path, vocab, dim=2)
+    assert table.coverage == 1.0
+    np.testing.assert_array_equal(table.weights[vocab.id_of("cat")], [1.0, 2.0])
+    np.testing.assert_array_equal(table.weights[vocab.id_of("bowl")], [3.0, 4.0])
 
 
 # ---------------------------------------------------------------------------

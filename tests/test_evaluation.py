@@ -1,16 +1,11 @@
 """Retrieval, salience, and embedding-export tests."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from groundsent.data import build_vocab, gen_synthetic, numericalize
-from groundsent.decoder import caption_nll
-from groundsent.encoder import encode_sentence
 from groundsent.evaluation import (
-    ENCODE_CHUNK, embed_lines, encode_reps, mean_token_nll, ranks, retrieval_eval, salience,
-    salient_hit_rate,
+    ENCODE_CHUNK, embed_lines, encode_reps, ranks, retrieval_eval, salience,
 )
 from groundsent.training import TrainConfig, init_params
 
@@ -171,12 +166,6 @@ def test_salience_rejects_fully_oov_sentence():
         salience(params, vocab, "zzz qqq")
 
 
-def test_salient_hit_rate_untrained_is_near_chance():
-    _, corpus, vocab, params, _ = setup_model(n=100, v_content=64, seed=2)
-    rate = salient_hit_rate(params, vocab, corpus.records)
-    assert rate <= 0.5  # ~1/T in expectation, far below a trained model
-
-
 # ---------------------------------------------------------------------------
 # embeddings export
 
@@ -218,29 +207,3 @@ def test_embed_lines_context_independent():
     alone = embed_lines(params, vocab, [a])
     together = embed_lines(params, vocab, [corpus.records[2].src, a])
     np.testing.assert_allclose(alone[0], together[1], rtol=0, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# NLL evaluation
-
-
-def test_mean_token_nll_zero_logits_is_log_vocab():
-    _, corpus, vocab, params, samples = setup_model()
-    params.decoder.out_w.data[:] = 0.0
-    params.decoder.out_b.data[:] = 0.0
-    nll = mean_token_nll(params, samples)
-    assert nll == pytest.approx(np.log(vocab.size), abs=1e-9)
-
-
-def test_mean_token_nll_matches_one_sample_at_a_time():
-    # targets paired with other sources' lengths over more than one chunk, so
-    # source length order, target length order and input order all differ
-    n = ENCODE_CHUNK + 6
-    _, _, _, params, samples = setup_model(n=n)
-    pool = [replace(s, tgt=samples[-1 - i].tgt) for i, s in enumerate(samples)]
-    assert sum(len(s.src) != len(s.tgt) for s in pool) > n // 2
-    total = sum(caption_nll(params.decoder, params.embeddings,
-                            encode_sentence(params.encoder, params.embeddings, s.src)[0],
-                            s.tgt).item() for s in pool)
-    expected = total / sum(len(s.tgt) - 1 for s in pool)
-    assert mean_token_nll(params, pool) == pytest.approx(expected, rel=1e-12, abs=0)

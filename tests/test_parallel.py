@@ -77,7 +77,7 @@ def vector_work(set_workers, workers, steps=3):
     for _ in range(steps):
         grad = rng.standard_normal(SIZE) * 3.0
         grads.append(clip_gradients(grad, 2.0).copy())
-        adam_step(data, grad, state, lr=1e-2)
+        adam_step(data, grad, state, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8)
     return data, state.m.vector, state.v.vector, grads
 
 

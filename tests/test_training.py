@@ -20,6 +20,7 @@ from groundsent.training import (
 )
 
 TINY = dict(d_cell=4, d_a=3, n_a=2, d_e=4, d_img=5, batch_size=3, epochs=1, seed=0)
+ADAM = dict(beta1=0.9, beta2=0.999, eps=1e-8)  # TrainConfig's beta1, beta2 and adam_eps
 
 
 def tiny_setup(objective="cap2all", n=6, seed=0):
@@ -181,14 +182,14 @@ def one_tensor_adam():
 def test_adam_zero_gradient_is_noop():
     theta = np.array([2.0, -1.0])
     before = theta.copy()
-    adam_step(theta, np.zeros(2), one_tensor_adam(), lr=0.1)
+    adam_step(theta, np.zeros(2), one_tensor_adam(), lr=0.1, **ADAM)
     np.testing.assert_array_equal(theta, before)
 
 
 def test_adam_first_step_magnitude_is_lr():
     theta = np.array([2.0, -1.0])
     before = theta.copy()
-    adam_step(theta, np.array([0.5, -3.0]), one_tensor_adam(), lr=1e-3)
+    adam_step(theta, np.array([0.5, -3.0]), one_tensor_adam(), lr=1e-3, **ADAM)
     np.testing.assert_allclose(np.abs(theta - before), 1e-3, rtol=1e-6)
 
 
@@ -205,7 +206,7 @@ def test_adam_converges_on_quadratic():
             loss = ad.sum_all(ad.mul(diff, diff))
             loss_value = loss.item()
             tape.backward(loss)
-        adam_step(theta.data.reshape(-1), theta.grad.reshape(-1), state, lr=0.1)
+        adam_step(theta.data.reshape(-1), theta.grad.reshape(-1), state, lr=0.1, **ADAM)
     assert loss_value < 1e-6
 
 
@@ -236,7 +237,7 @@ def test_adam_step_matches_reference_update_bit_for_bit(monkeypatch, block):
     ref_v = {k: np.zeros(s) for k, s in shapes.items()}
     for t in range(1, 4):
         grads.vector[:] = rng.standard_normal(grads.vector.size)
-        adam_step(data.vector, grads.vector, state, lr=0.01)
+        adam_step(data.vector, grads.vector, state, lr=0.01, **ADAM)
         reference_update(ref, grads, ref_m, ref_v, t, lr=0.01)
     assert state.step == 3
     for k in shapes:
@@ -288,8 +289,9 @@ def test_adam_over_gathered_table_rows_is_bit_for_bit_dense_adam(monkeypatch, se
         grads = FlatTensors(shapes)
         grads["table"][rows] = rng.standard_normal((rows.size, 5))
         grads["tail"][...] = rng.standard_normal((1, 45))
-        adam_step(dense.vector, grads.vector.copy(), states[0], lr=0.01)
-        adam_step(sparse.vector, grads.vector, states[1], lr=0.01, table=(155, 5, rows))
+        adam_step(dense.vector, grads.vector.copy(), states[0], lr=0.01, **ADAM)
+        adam_step(sparse.vector, grads.vector, states[1], lr=0.01, **ADAM,
+                  table=(155, 5, rows))
         reference_update(ref, grads, ref_m, ref_v, t, lr=0.01)
     for k in shapes:
         for got in (dense, sparse):
@@ -377,20 +379,27 @@ def test_cap2img_ignores_target_tokens():
 
 
 def test_pad_row_gradient_is_exactly_zero():
-    # PAD fills the short lanes of a batch; no gradient may reach its embedding row
+    # PAD fills the short lanes of a batch; no gradient may reach its embedding row under any
+    # objective, at the initialization or off it, so train_step leaves the row at 0. Padded
+    # steps get attention weight 0, padded targets are dropped before the head, and BPTT
+    # carries gradient only back in time from real steps.
     config = TrainConfig(objective="cap2all", **TINY)
     corpus = gen_synthetic(12, 8, config.d_img, seed=0)
     vocab = build_vocab(corpus)
     params = init_params(config, vocab.size)
     batches = make_batches(numericalize(corpus, vocab), config.batch_size, seed=0)
-    for batch in batches:
-        assert not batch.src_mask.all() and not batch.tgt_mask.all()
-        params.zero_grads()
-        with Tape() as tape:
-            loss, _, _ = composite_loss("cap2all", batch, params, train_mode=False)
-            tape.backward(loss)
-        assert np.all(params.embeddings.grad[PAD] == 0.0)
-        assert np.any(params.embeddings.grad != 0.0)
+    rng = np.random.default_rng(1)
+    for _ in range(2):
+        for objective in training.OBJECTIVES:
+            for batch in batches:
+                assert not batch.src_mask.all() and not batch.tgt_mask.all()
+                params.zero_grads()
+                with Tape() as tape:
+                    loss, _, _ = composite_loss(objective, batch, params, rng=rng)
+                    tape.backward(loss)
+                assert np.all(params.embeddings.grad[PAD] == 0.0)
+                assert np.any(params.embeddings.grad != 0.0)
+        params.values.vector += rng.uniform(-0.05, 0.05, size=params.values.vector.size)
 
 
 def gathered_rows_setup(objective="cap2all", clip=5.0):
@@ -541,20 +550,22 @@ def test_train_losses_finite_and_pad_row_stays_zero():
     corpus = gen_synthetic(8, 8, config.d_img, seed=2)
     result = train(config, corpus)
     assert all(np.isfinite(m.loss) for m in result.metrics)
-    np.testing.assert_array_equal(result.params.embeddings.data[PAD],
-                                  np.zeros(config.d_e))
+    for x in (result.params.values, result.adam.m, result.adam.v):  # the step never writes it
+        np.testing.assert_array_equal(x["embeddings"][PAD], np.zeros(config.d_e))
     for name, tensor in result.params.named().items():
         assert np.all(np.isfinite(tensor.data)), name
 
 
 def test_first_epoch_beats_uniform_baseline():
-    from groundsent.evaluation import mean_token_nll
-
     config = TrainConfig(objective="cap2cap", **{**TINY, "epochs": 1, "batch_size": 8})
     corpus = gen_synthetic(64, 8, config.d_img, seed=3)
     result = train(config, corpus)
-    per_token = mean_token_nll(result.params, numericalize(corpus, result.vocab))
-    assert per_token < np.log(result.vocab.size)
+    batches = make_batches(numericalize(corpus, result.vocab), config.batch_size, seed=0)
+    # the caption term is a batch mean of token sums
+    total = sum(composite_loss("cap2cap", b, result.params, train_mode=False)[1] * b.size
+                for b in batches)
+    tokens = sum((b.tgt[:, 1:] != PAD).sum() for b in batches)
+    assert total / tokens < np.log(result.vocab.size)
 
 
 def test_non_finite_gradient_stops_before_any_update(nan_in_one_gradient):

@@ -1,13 +1,18 @@
 """Reference values of two short training runs, kept in trajectory.json beside this script.
 
-    PYTHONPATH=src python tests/trajectory_reference.py [--margin]
+    PYTHONPATH=src python tests/trajectory_reference.py [--margin | --digest]
 
 writes tests/trajectory.json; `tests/test_trajectory.py` replays both runs and
 compares. With --margin it writes nothing and prints, for each run, the
 largest relative deviation of a fresh run from the file, measured as the
-test measures it, against the test's tolerance. The runs are 8 cap2all steps at the defaults, and 4 steps at
-V = 20,000 and d_e = 300 with a clip bound small enough to bind, where the
-vocabulary head runs in several chunks and the step's vector work is split.
+test measures it, against the test's tolerance. With --digest it writes
+nothing and prints, for each run, a sha256 over the bytes of the final
+parameter, m and v vectors and of every step's loss parts: two source trees
+train bit-for-bit alike when their digests match on one machine.
+
+The runs are 8 cap2all steps at the defaults, and 4 steps at V = 20,000 and
+d_e = 300 with a clip bound small enough to bind, where the vocabulary head
+runs in several chunks and the step's vector work is split.
 For each step the file holds the loss parts; after the last step, each
 tensor's sum and sum of squares of the parameters and of Adam's m and v.
 Regenerate the file only with a change meant to alter the trajectory, and
@@ -17,6 +22,7 @@ say why.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import re
@@ -84,13 +90,30 @@ def margin(case: str) -> float:
     return max(deviations)
 
 
+def digest(case: str) -> str:
+    """sha256 of a fresh run's final parameter, m and v vectors and its per-step loss parts."""
+    _, _, params, adam, losses = run(case)
+    h = hashlib.sha256()
+    for vector in (params.values.vector, adam.m.vector, adam.v.vector, np.array(losses)):
+        h.update(vector.tobytes())
+    return h.hexdigest()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--margin", action="store_true",
-                        help="print each run's largest relative deviation from the file")
-    if parser.parse_args().margin:
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--margin", action="store_true",
+                      help="print each run's largest relative deviation from the file")
+    mode.add_argument("--digest", action="store_true",
+                      help="print a sha256 of each run's final vectors and losses")
+    args = parser.parse_args()
+    if args.margin:
         for case in CASES:
             print(f"{case}: largest relative deviation {margin(case):.2e} (test tolerance 1e-9)")
+        return
+    if args.digest:
+        for case in CASES:
+            print(f"{case}: sha256 {digest(case)}")
         return
     out = {}
     for case in CASES:
