@@ -1,20 +1,21 @@
 """Parameter initialization, composite objectives, Adam, and the training loop.
 
 Recurrent square blocks are initialized orthogonally (sign-corrected QR of
-seeded Gaussians); everything else uses xavier-uniform bounds. Parameters,
-gradients and Adam's moments are each one vector (`FlatTensors`). The
-embedding table comes first, and a batch's gradient is zero outside the rows
-it gathers, so the step checks and clips only those rows and the dense tail
-after the table; Adam's pass alone covers the whole vector. That vector work
-runs span by span: a vector of 2**20 entries or more is cut into
-`parallel.spans`, one per core, run by `parallel.run`, so results are
-bit-for-bit those of one pass. For a fixed BLAS thread count, runs are fully
-determined by (config, seed, corpus): shuffling and dropout streams are
-re-derived per epoch from the seed, so resuming from an epoch checkpoint
-reproduces the uninterrupted trajectory. `groundsent train` does not pin that
-count (OPENBLAS_NUM_THREADS and the like), and at a large vocabulary a
-different count changes the BLAS sums in the last bits, so a run resumed
-under another count is not bit-for-bit.
+seeded Gaussians); everything else uses xavier-uniform bounds. Parameters
+and Adam's moments are each one vector (`FlatTensors`), the embedding table
+first. A batch's table gradient is zero outside the rows it gathers; it lives
+in a buffer of its own, kept across steps, and the gradient vector covers
+the tensors after the table, the tail. So the step checks, clips and
+re-zeroes only the gathered rows and the tail; Adam's pass alone covers the
+whole parameter vector. That vector work runs span by span: a vector of
+2**20 entries or more is cut into `parallel.spans`, one per core, run by
+`parallel.run`, so results are bit-for-bit those of one pass. For a fixed
+BLAS thread count, runs are fully determined by (config, seed, corpus):
+shuffling and dropout streams are re-derived per epoch from the seed, so
+resuming from an epoch checkpoint reproduces the uninterrupted trajectory.
+`groundsent train` does not pin that count (OPENBLAS_NUM_THREADS and the
+like), and at a large vocabulary a different count changes the BLAS sums in
+the last bits, so a run resumed under another count is not bit-for-bit.
 """
 
 from __future__ import annotations
@@ -110,13 +111,11 @@ class FlatTensors(dict):
     """Name -> view of `vector`, cut into `shapes` in their order, made with np.zeros.
 
     `vector` is little-endian float64, the byte order a checkpoint stores it in.
-    A page is zeroed on its first write, but numpy advises transparent huge
-    pages for large arrays, so one write zeroes a whole 2 MB page. At V = 20k,
-    d_e = 300, scattering about 300 rows into a fresh gradient zeroes nearly
-    all of the 48 MB embedding view: 9 ms, against 3 ms with huge pages off.
-    Keep them on: without them one elementwise pass over a whole fresh gradient
-    vector (the clip, when it covered every entry) took 51-65 ms instead of
-    10-13 ms (2-core Xeon, transparent huge pages on `madvise`).
+    A page is zeroed on its first write, and numpy advises transparent huge
+    pages for large arrays, so one write zeroes a whole 2 MB page. That is why
+    the embedding table's gradient is not one of these made afresh each step:
+    at V = 20k, d_e = 300, scattering a batch's rows into a fresh 48 MB table
+    view zeroed nearly all of it, 9 ms a step (`ModelParameters.zero_grads`).
     """
 
     def __init__(self, shapes: dict[str, tuple[int, ...]]):
@@ -132,13 +131,17 @@ class ModelParameters:
     """Every trainable tensor, grouped by sub-model, each .data a view of the vector `values`.
 
     All zero, laid out by `parameter_shapes` and drawn from no RNG: `init_params`
-    draws into the views, and `checkpoint.load` reads a file into them.
+    draws into the views, and `checkpoint.load` reads a file into them. No
+    gradient memory is made until the first `zero_grads`.
     """
 
     def __init__(self, config: TrainConfig, vocab_size: int):
         self.shapes = parameter_shapes(config, vocab_size)
         self.values = FlatTensors(self.shapes)
-        self.grads = self.next_grads = None  # FlatTensors laid out like `values`, once set
+        self.tail_shapes = {k: s for k, s in self.shapes.items() if k != "embeddings"}
+        self.grads = self.next_grads = None  # FlatTensors over `tail_shapes`, once set
+        self.table_grad = None  # the table's (V, d_e) gradient, made once, kept zero between steps
+        self._table_written = False  # whether a backward may have written it anywhere
         t = self._named = {name: Matrix(view) for name, view in self.values.items()}
 
         def cell(prefix: str) -> LstmCellParams:
@@ -158,10 +161,27 @@ class ModelParameters:
         return self._named
 
     def zero_grads(self) -> None:
-        """Point each .grad at its view of `grads`: `next_grads` if set, else a new zero vector."""
-        self.grads, self.next_grads = self.next_grads or FlatTensors(self.shapes), None
-        for name, m in self._named.items():
-            m.grad = self.grads[name]
+        """Point each .grad at a zero gradient: the table's at `table_grad`, the rest at `grads`.
+
+        `grads` becomes `next_grads` if set, else a new zero vector. `table_grad`
+        is made on the first call and then kept. It is zeroed whole only when a
+        backward since the last call may have written it and `clear_table_rows`
+        did not follow, so a step pays for the rows it gathers, not for V.
+        """
+        if self.table_grad is None:
+            self.table_grad = np.zeros(self.shapes["embeddings"])
+        elif self._table_written:
+            self.table_grad[...] = 0.0
+        self._table_written = True
+        self.grads, self.next_grads = self.next_grads or FlatTensors(self.tail_shapes), None
+        self.embeddings.grad = self.table_grad
+        for name, view in self.grads.items():
+            self._named[name].grad = view
+
+    def clear_table_rows(self, rows: np.ndarray) -> None:
+        """Re-zero the table gradient's `rows`: every row a backward since zero_grads wrote."""
+        self.table_grad[rows] = 0.0
+        self._table_written = False
 
 
 def _xavier(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -268,27 +288,29 @@ class AdamState:
 
 def adam_step(data: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
               beta1: float, beta2: float, eps: float,
-              table: tuple[int, int, np.ndarray] | None = None) -> None:
+              table: tuple[np.ndarray, np.ndarray] | None = None) -> None:
     """One bias-corrected Adam update of `data`, in place; adds 1 to step.
 
     In Kingma & Ba's efficient order (arXiv:1412.6980, section 2) the bias
     corrections fold into the step size lr * sqrt(bc2) / bc1 and into
     eps * sqrt(bc2): one division per entry. Each span runs the block loop
-    with its own scratch buffers. `table`, computed by `train_step`, is
-    (entries, row width, rows) of a table at the vector's front whose gradient
-    is 0 outside `rows`. Those rows are updated on copies, written back last;
-    the rest of the table is updated without reading `grad`, which leaves m
-    and v as adding zero terms would, up to the sign of a zero.
+    with its own scratch buffers. `grad` is the gradient of data's last
+    grad.size entries, all of them when `table` is None. The entries before
+    it are a table whose gradient is 0 outside the rows `table` gives, as
+    (rows, their gradient), the form `train_step` passes. Those rows are
+    updated on copies, written back last; the rest of the table is updated
+    without a gradient, which leaves m and v as adding zero terms would, up
+    to the sign of a zero.
     """
     state.step += 1
     bc1, bc2 = 1.0 - beta1**state.step, 1.0 - beta2**state.step
     step_size, eps_hat = lr * math.sqrt(bc2) / bc1, eps * math.sqrt(bc2)
     vectors = (data, state.m.vector, state.v.vector)
 
-    def blocks(x, m, v, g, start, stop, scratch) -> None:
-        """Update entries [start, stop) block by block; g is None where the gradient is 0."""
-        for lo in range(start, stop, ADAM_BLOCK):
-            block = slice(lo, min(lo + ADAM_BLOCK, stop))
+    def blocks(x, m, v, g, scratch) -> None:
+        """Update x, m and v, all one length, block by block; g is None where it is 0."""
+        for lo in range(0, x.size, ADAM_BLOCK):
+            block = slice(lo, lo + ADAM_BLOCK)
             mb, vb = m[block], v[block]
             a, b = scratch[:, : mb.size]
             mb *= beta1
@@ -300,16 +322,18 @@ def adam_step(data: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
             a += eps_hat
             x[block] -= np.divide(np.multiply(mb, step_size, out=b), a, out=b)
 
-    cut = 0
+    cut = data.size - grad.size
     if table is not None:
-        cut, width, rows = table
-        copies = [x[:cut].reshape(-1, width)[rows].reshape(-1) for x in (*vectors, grad)]
-        blocks(*copies, 0, copies[0].size, np.empty((2, ADAM_BLOCK)))
+        rows, row_grads = table
+        width = row_grads.shape[1]
+        copies = [x[:cut].reshape(-1, width)[rows].reshape(-1) for x in vectors]
+        blocks(*copies, row_grads.reshape(-1), np.empty((2, ADAM_BLOCK)))
 
     def update(span: slice) -> None:
         scratch = np.empty((2, ADAM_BLOCK))
-        blocks(*vectors, None, span.start, min(span.stop, cut), scratch)
-        blocks(*vectors, grad, max(span.start, cut), span.stop, scratch)
+        mid = min(max(span.start, cut), span.stop)
+        blocks(*(x[span.start : mid] for x in vectors), None, scratch)
+        blocks(*(x[mid : span.stop] for x in vectors), grad[mid - cut : span.stop - cut], scratch)
 
     parallel.run(update, parallel.spans(data.size))
     if table is not None:
@@ -348,35 +372,35 @@ def train_step(batch: Batch, params: ModelParameters, adam: AdamState, config: T
     """Forward, backward, clip and Adam for one batch.
 
     Raises FloatingPointError, before any parameter changes, on a non-finite
-    loss or gradient.
+    loss or gradient. Returns, and raises, with the table gradient all zero.
     """
-    params.zero_grads()
-    with Tape() as tape:
-        loss, loss_c, loss_vg = composite_loss(config.objective, batch, params,
-                                               train_mode=True, rng=rng)
-        loss_value = loss.item()
-        if not np.isfinite(loss_value):
-            raise FloatingPointError(f"non-finite loss {loss_value} at step {adam.step + 1}")
-        tape.backward(loss)
-    # The table is the vector's first tensor, and its gradient is 0 outside the rows the
-    # encoder (src) and the decoder (tgt) gather; zeros are finite and survive the clip.
-    # The rows are np.union1d(src, tgt), found by a mask: np.unique imports numpy.ma.
-    grad, table = params.grads.vector, params.embeddings.grad
-    held = np.zeros(len(table), dtype=bool)
+    # The table's gradient is 0 outside the rows the encoder (src) and the decoder (tgt)
+    # gather. They are np.union1d(src, tgt), found by a mask: np.unique imports numpy.ma.
+    held = np.zeros(params.embeddings.rows, dtype=bool)
     held[batch.src] = held[batch.tgt] = True
     rows = np.flatnonzero(held)
-    gathered, tail = table[rows], grad[table.size:]
-    if not (all_finite(gathered.reshape(-1)) and all_finite(tail)):
-        name = next(k for k, g in params.grads.items() if not np.isfinite(g).all())
-        raise FloatingPointError(f"non-finite gradient of {name} at step {adam.step + 1}")
-    clip_gradients(gathered.reshape(-1), config.clip)
-    table[rows] = gathered
-    clip_gradients(tail, config.clip)
-    adam_step(params.values.vector, grad, adam, config.lr, config.beta1, config.beta2,
-              config.adam_eps, table=(table.size, table.shape[1], rows))
-    # Made while the tape is live, it sits above the step's activations, so the allocator
-    # keeps their pages for the next step instead of trimming them and faulting them back in.
-    params.next_grads = FlatTensors(params.shapes)
+    params.zero_grads()
+    try:
+        with Tape() as tape:
+            loss, loss_c, loss_vg = composite_loss(config.objective, batch, params,
+                                                   train_mode=True, rng=rng)
+            loss_value = loss.item()
+            if not np.isfinite(loss_value):
+                raise FloatingPointError(f"non-finite loss {loss_value} at step {adam.step + 1}")
+            tape.backward(loss)
+        gathered, tail = params.table_grad[rows], params.grads.vector
+        if not (all_finite(gathered.reshape(-1)) and all_finite(tail)):
+            name = next(k for k, m in params.named().items() if not np.isfinite(m.grad).all())
+            raise FloatingPointError(f"non-finite gradient of {name} at step {adam.step + 1}")
+        clip_gradients(gathered.reshape(-1), config.clip)
+        clip_gradients(tail, config.clip)
+        adam_step(params.values.vector, tail, adam, config.lr, config.beta1, config.beta2,
+                  config.adam_eps, table=(rows, gathered))
+        # Made while the tape is live, it sits above the step's activations, so the allocator
+        # keeps their pages for the next step instead of trimming them and faulting them back.
+        params.next_grads = FlatTensors(params.tail_shapes)
+    finally:
+        params.clear_table_rows(rows)
     return loss_value, loss_c, loss_vg
 
 

@@ -290,8 +290,8 @@ def test_adam_over_gathered_table_rows_is_bit_for_bit_dense_adam(monkeypatch, se
         grads["table"][rows] = rng.standard_normal((rows.size, 5))
         grads["tail"][...] = rng.standard_normal((1, 45))
         adam_step(dense.vector, grads.vector.copy(), states[0], lr=0.01, **ADAM)
-        adam_step(sparse.vector, grads.vector, states[1], lr=0.01, **ADAM,
-                  table=(155, 5, rows))
+        adam_step(sparse.vector, grads.vector[155:], states[1], lr=0.01, **ADAM,
+                  table=(rows, grads["table"][rows]))
         reference_update(ref, grads, ref_m, ref_v, t, lr=0.01)
     for k in shapes:
         for got in (dense, sparse):
@@ -302,10 +302,14 @@ def test_adam_over_gathered_table_rows_is_bit_for_bit_dense_adam(monkeypatch, se
 
 
 def assert_views_of_vectors(params):
-    """Every tensor's .data, and .grad when set, is a view of the model's one vector."""
+    """Each .data is a view of the parameter vector, and each .grad when set is one of the
+    gradient vector, except the table's, which is the model's kept buffer `table_grad`."""
     for name, m in params.named().items():
         assert np.shares_memory(m.data, params.values.vector), name
-        assert m.grad is None or np.shares_memory(m.grad, params.grads.vector), name
+        if name == "embeddings":
+            assert m.grad is params.table_grad, name
+        else:
+            assert m.grad is None or np.shares_memory(m.grad, params.grads.vector), name
 
 
 def test_tensors_stay_views_of_the_parameter_and_gradient_vectors(tmp_path):
@@ -313,10 +317,12 @@ def test_tensors_stay_views_of_the_parameter_and_gradient_vectors(tmp_path):
     corpus = gen_synthetic(6, 8, config.d_img, seed=4)
     vocab = build_vocab(corpus)
     params = init_params(config, vocab.size)
+    assert params.table_grad is None and params.grads is None  # set-up makes no gradient
     assert_views_of_vectors(params)
     params.zero_grads()
     assert all(m.grad is not None for m in params.named().values())
     assert_views_of_vectors(params)
+    table = params.table_grad
 
     batch = make_batches(numericalize(corpus, vocab), config.batch_size, seed=0)[0]
     adam = AdamState.for_params(params)
@@ -326,10 +332,12 @@ def test_tensors_stay_views_of_the_parameter_and_gradient_vectors(tmp_path):
     assert not np.array_equal(params.values.vector, before)  # Adam updated the model's memory
     params.zero_grads()  # takes the vector the step left in next_grads
     assert params.next_grads is None and not params.grads.vector.any()
+    assert params.table_grad is table and not table.any()
     assert_views_of_vectors(params)
 
     result = train(config, corpus, out_dir=tmp_path)
     loaded, adam, _, _, _ = ckpt.load(result.checkpoint_path)
+    assert loaded.table_grad is None and loaded.grads is None
     assert_views_of_vectors(loaded)
     for moments in (adam.m, adam.v):
         assert all(np.shares_memory(view, moments.vector) for view in moments.values())
@@ -449,24 +457,75 @@ def test_nan_in_a_gathered_table_row_stops_the_step_before_any_update(monkeypatc
 
 
 def test_binding_clip_of_the_gathered_rows_equals_a_full_clip(monkeypatch):
+    # Adam is handed the clipped tail and the clipped gathered table rows; a clip of every
+    # table row would differ from them nowhere, since the other rows' gradient is 0
     config, params, (batch, _) = gathered_rows_setup(clip=0.01)
-    raw = []
-    backward = Tape.backward
+    raw, handed = [], []
+    backward, adam_step = Tape.backward, training.adam_step
 
     def keep(tape, loss):
         backward(tape, loss)
-        raw.append(params.grads.vector.copy())
+        raw.append((params.table_grad.copy(), params.grads.vector.copy()))
+
+    def spy(data, grad, state, *args, table):
+        handed.append((grad.copy(), *(x.copy() for x in table)))
+        adam_step(data, grad, state, *args, table=table)
 
     monkeypatch.setattr(Tape, "backward", keep)
+    monkeypatch.setattr(training, "adam_step", spy)
     train_step(batch, params, AdamState.for_params(params), config, rng=np.random.default_rng(0))
-    want = FlatTensors(params.shapes)
-    want.vector[:] = raw[0]
+    table, tail = raw[0]
     rows = np.union1d(batch.src, batch.tgt)
-    assert (np.abs(want["embeddings"][rows]) > 0.01).any()  # the clip binds on the table
-    want["embeddings"][PAD] = 0.0
-    np.clip(want.vector, -0.01, 0.01, out=want.vector)
-    np.testing.assert_array_equal(params.grads.vector, want.vector)
-    assert not params.grads["embeddings"][PAD].any()
+    assert (np.abs(table[rows]) > 0.01).any()  # the clip binds on the table
+    assert not table[PAD].any()
+    got_tail, got_rows, got_row_grads = handed[0]
+    np.testing.assert_array_equal(got_rows, rows)
+    np.testing.assert_array_equal(got_row_grads, np.clip(table, -0.01, 0.01)[rows])
+    assert not np.delete(table, rows, axis=0).any()
+    np.testing.assert_array_equal(got_tail, np.clip(tail, -0.01, 0.01))
+    np.testing.assert_array_equal(params.grads.vector, got_tail)  # the tail is clipped in place
+    assert not params.table_grad.any()  # the step re-zeroed the rows it gathered
+
+
+@pytest.mark.parametrize("before", ["failed_step", "outside_backward"])
+def test_no_stale_table_gradient_reaches_the_next_step(monkeypatch, before):
+    # A step that raises after its backward, or a backward outside train_step followed by
+    # zero_grads, must leave nothing in the kept table gradient that the next step, on
+    # other rows that overlap these, would add to.
+    config, params, (first, second) = gathered_rows_setup()
+    adam = AdamState.for_params(params)
+    rows = [np.union1d(b.src, b.tgt) for b in (first, second)]
+    shared = np.setdiff1d(np.intersect1d(*rows), [PAD])
+    assert shared.size and not np.array_equal(*rows)
+    if before == "failed_step":
+        backward = Tape.backward
+
+        def poisoned(tape, loss):
+            backward(tape, loss)
+            params.table_grad[shared[0], 2] = np.nan
+
+        monkeypatch.setattr(Tape, "backward", poisoned)
+        with pytest.raises(FloatingPointError, match="non-finite gradient of embeddings"):
+            train_step(first, params, adam, config, rng=np.random.default_rng(0))
+        monkeypatch.undo()
+        assert not params.table_grad.any()
+    else:
+        params.zero_grads()
+        with Tape() as tape:
+            loss, _, _ = composite_loss(config.objective, first, params, train_mode=False)
+            tape.backward(loss)
+        assert params.table_grad[shared].any()
+        params.zero_grads()
+    train_step(second, params, adam, config, rng=np.random.default_rng(1))
+    assert not params.table_grad.any()
+
+    _, fresh, _ = gathered_rows_setup()
+    fresh_adam = AdamState.for_params(fresh)
+    train_step(second, fresh, fresh_adam, config, rng=np.random.default_rng(1))
+    assert adam.step == fresh_adam.step == 1
+    for got, want in ((params.values, fresh.values), (adam.m, fresh_adam.m),
+                      (adam.v, fresh_adam.v)):
+        assert np.array_equal(got.vector, want.vector)
 
 
 def test_train_step_never_allocates_a_dense_vocabulary_buffer():
@@ -484,18 +543,42 @@ def test_train_step_never_allocates_a_dense_vocabulary_buffer():
     finally:
         tracemalloc.stop()
     rows = batch.size * (batch.tgt.shape[1] - 1)
-    net = peak - 2 * params.values.vector.nbytes  # this step's and the next step's gradients
+    # the table gradient, made on the first step, and this step's and the next step's tails
+    net = peak - params.table_grad.nbytes - 2 * params.grads.vector.nbytes
     assert net < rows * v * 8
 
 
-def test_embedding_gradient_stays_a_view_of_the_gradient_vector():
+def test_a_second_train_step_allocates_nothing_as_large_as_the_table(set_workers):
+    # At GloVe size the table gradient outlives the step, and the step's gradient vector
+    # covers only the tensors after the table. One worker: the head holds an 8 MB chunk
+    # per core at a time, so on many cores its buffers alone would pass the table's size.
+    set_workers(1)
+    config = TrainConfig(d_e=300, batch_size=32, seed=0)
+    corpus = gen_synthetic(64, 8, config.d_img, seed=0)
+    batches = make_batches(numericalize(corpus, build_vocab(corpus)), 32, seed=0)
+    params = init_params(config, 20_000)
+    adam = AdamState.for_params(params)
+    train_step(batches[0], params, adam, config, rng=np.random.default_rng(0))
+    table = params.table_grad
+    tracemalloc.start()
+    try:
+        train_step(batches[1], params, adam, config, rng=np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert params.table_grad is table and peak < table.nbytes
+
+
+def test_embedding_gradient_is_the_kept_table_buffer():
     config, params, batch, _, _ = tiny_setup()
     params.zero_grads()
+    table = params.table_grad
     with Tape() as tape:
         loss, _, _ = composite_loss(config.objective, batch, params, train_mode=False)
         tape.backward(loss)
-    assert params.embeddings.grad.base is params.grads.vector
-    assert np.any(params.grads["embeddings"] != 0.0)
+    assert params.embeddings.grad is table and table.any()  # the gather wrote into it
+    params.zero_grads()  # after a backward outside train_step it zeroes the whole buffer
+    assert params.embeddings.grad is table and not table.any()
 
 
 def test_train_steps_match_the_dense_scatter_bit_for_bit(monkeypatch, dense_select_rows):
@@ -556,8 +639,9 @@ def test_train_losses_finite_and_pad_row_stays_zero():
         assert np.all(np.isfinite(tensor.data)), name
 
 
-def test_first_epoch_beats_uniform_baseline():
-    config = TrainConfig(objective="cap2cap", **{**TINY, "epochs": 1, "batch_size": 8})
+def test_training_beats_the_uniform_baseline_by_a_margin():
+    # 30 epochs reach 2.1900 nats a token against log V = 2.4849, a 0.295-nat margin
+    config = TrainConfig(objective="cap2cap", **{**TINY, "epochs": 30, "batch_size": 8})
     corpus = gen_synthetic(64, 8, config.d_img, seed=3)
     result = train(config, corpus)
     batches = make_batches(numericalize(corpus, result.vocab), config.batch_size, seed=0)
@@ -565,7 +649,7 @@ def test_first_epoch_beats_uniform_baseline():
     total = sum(composite_loss("cap2cap", b, result.params, train_mode=False)[1] * b.size
                 for b in batches)
     tokens = sum((b.tgt[:, 1:] != PAD).sum() for b in batches)
-    assert total / tokens < np.log(result.vocab.size)
+    assert total / tokens < np.log(result.vocab.size) - 0.15
 
 
 def test_non_finite_gradient_stops_before_any_update(nan_in_one_gradient):

@@ -1,6 +1,6 @@
 """Reference values of two short training runs, kept in trajectory.json beside this script.
 
-    PYTHONPATH=src python tests/trajectory_reference.py [--margin | --digest]
+    PYTHONPATH=src python tests/trajectory_reference.py [--margin | --digest | --faults]
 
 writes tests/trajectory.json; `tests/test_trajectory.py` replays both runs and
 compares. With --margin it writes nothing and prints, for each run, the
@@ -8,7 +8,10 @@ largest relative deviation of a fresh run from the file, measured as the
 test measures it, against the test's tolerance. With --digest it writes
 nothing and prints, for each run, a sha256 over the bytes of the final
 parameter, m and v vectors and of every step's loss parts: two source trees
-train bit-for-bit alike when their digests match on one machine.
+train bit-for-bit alike when their digests match on one machine. With
+--faults it writes nothing and prints, for each case, the minor page faults
+of each of 24 steps after a warm-up step (`getrusage`, the whole process),
+trained on a corpus of 25 batches.
 
 The runs are 8 cap2all steps at the defaults, and 4 steps at V = 20,000 and
 d_e = 300 with a clip bound small enough to bind, where the vocabulary head
@@ -26,6 +29,7 @@ import hashlib
 import json
 import math
 import re
+import resource
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +41,7 @@ from groundsent.training import AdamState, TrainConfig, init_params, train_step
 
 PATH = Path(__file__).resolve().parent / "trajectory.json"
 SEED = 5
+FAULT_STEPS = 24  # steps --faults counts: the fault pattern cycles over more steps than a case has
 DROPOUT_STREAM = 23  # training._SEED_DROPOUT, the tag `train` derives each epoch's dropout from
 
 CASES = {
@@ -45,20 +50,40 @@ CASES = {
 }
 
 
-def run(case: str):
-    """Train the case's steps from its seed; return (config, vocab, params, adam, loss parts)."""
+def setup(case: str, steps: int | None = None):
+    """The case's config, vocabulary, fresh parameters and Adam state, dropout stream, batches.
+
+    There is one batch for each of the case's steps, or for each of `steps` when given.
+    """
     spec = CASES[case]
     config = TrainConfig(seed=SEED, **spec["config"])
-    corpus = gen_synthetic(config.batch_size * spec["steps"], spec["v_content"], config.d_img,
-                           seed=SEED)
+    corpus = gen_synthetic(config.batch_size * (steps or spec["steps"]), spec["v_content"],
+                           config.d_img, seed=SEED)
     visual, ordinary = synthetic_token_names(spec["v_content"])
     vocab = Vocabulary(visual + ordinary)
     params = init_params(config, vocab.size)
     adam = AdamState.for_params(params)
     rng = np.random.default_rng(np.random.SeedSequence([SEED, DROPOUT_STREAM, 0]))
     batches = make_batches(numericalize(corpus, vocab), config.batch_size, SEED, 0)
+    return config, vocab, params, adam, rng, batches
+
+
+def run(case: str):
+    """Train the case's steps from its seed; return (config, vocab, params, adam, loss parts)."""
+    config, vocab, params, adam, rng, batches = setup(case)
     losses = [list(train_step(batch, params, adam, config, rng=rng)) for batch in batches]
     return config, vocab, params, adam, losses
+
+
+def faults(case: str) -> list[int]:
+    """Minor page faults of each of FAULT_STEPS steps of `case`, after a warm-up step."""
+    config, _, params, adam, rng, batches = setup(case, FAULT_STEPS + 1)
+    counts = []
+    for batch in batches:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train_step(batch, params, adam, config, rng=rng)
+        counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return counts[1:]
 
 
 def tensor_sums(params, adam) -> dict:
@@ -106,6 +131,8 @@ def main() -> None:
                       help="print each run's largest relative deviation from the file")
     mode.add_argument("--digest", action="store_true",
                       help="print a sha256 of each run's final vectors and losses")
+    mode.add_argument("--faults", action="store_true",
+                      help="print each run's minor page faults per step after a warm-up step")
     args = parser.parse_args()
     if args.margin:
         for case in CASES:
@@ -114,6 +141,12 @@ def main() -> None:
     if args.digest:
         for case in CASES:
             print(f"{case}: sha256 {digest(case)}")
+        return
+    if args.faults:
+        for case in CASES:
+            counts = faults(case)
+            print(f"{case}: minor faults per step: mean {np.mean(counts):.0f}, "
+                  f"median {np.median(counts):.0f}, each {counts}")
         return
     out = {}
     for case in CASES:
