@@ -104,9 +104,10 @@ def load(path) -> tuple[ModelParameters, AdamState, TrainConfig, Vocabulary, int
         try:
             meta = json.loads(blob)
             config = TrainConfig(**meta["config"])
-            step, epoch, vocab = int(meta["step"]), int(meta["epoch"]), Vocabulary(meta["vocab"])
+            step, epoch, vocab = meta["step"], meta["epoch"], Vocabulary(meta["vocab"])
             layout, crcs = meta["layout"], meta["crc32"]
-            if step < 0 or epoch < 0:  # Adam's bias correction needs step >= 0
+            # JSON integers only, so 3.7 is no step; Adam's bias correction needs step >= 0
+            if not (type(step) is type(epoch) is int and step >= 0 and epoch >= 0):
                 raise corrupt
             # the three vectors fill the rest of the file exactly; checked before allocating
             if 3 * 8 * sum(rows * cols for _, rows, cols in layout) != size - fh.tell():

@@ -3,14 +3,14 @@
 Recurrent square blocks are initialized orthogonally (sign-corrected QR of
 seeded Gaussians); everything else uses xavier-uniform bounds. Parameters
 and Adam's moments are each one vector (`FlatTensors`), the embedding table
-first. A batch's table gradient is zero outside the rows it gathers; it lives
-in a buffer of its own, kept across steps, and the gradient vector covers
-the tensors after the table, the tail. So the step checks, clips and
-re-zeroes only the gathered rows and the tail; Adam's pass alone covers the
-whole parameter vector. That vector work runs span by span: a vector of
-2**20 entries or more is cut into `parallel.spans`, one per core, run by
-`parallel.run`, so results are bit-for-bit those of one pass. For a fixed
-BLAS thread count, runs are fully determined by (config, seed, corpus):
+first. The gradients belong to `train_step`: a (V, d_e) table buffer kept
+across steps, and a vector over the tensors after the table, the tail. A
+batch's table gradient is zero outside the rows it gathers, so the step
+checks, clips and re-zeroes only those rows and the tail; Adam's pass alone
+covers the whole parameter vector. That vector work runs span by span: a
+vector of 2**20 entries or more is cut into `parallel.spans`, one per core,
+run by `parallel.run`, so results are bit-for-bit those of one pass. For a
+fixed BLAS thread count, runs are fully determined by (config, seed, corpus):
 shuffling and dropout streams are re-derived per epoch from the seed, so
 resuming from an epoch checkpoint reproduces the uninterrupted trajectory.
 `groundsent train` does not pin that count (OPENBLAS_NUM_THREADS and the
@@ -70,11 +70,12 @@ class TrainConfig:
             raise ValueError(f"unknown objective {self.objective!r}, expected one of {OBJECTIVES}")
         if self.d_p is None:
             self.d_p = self.d_img
-        for name in ("d_cell", "d_a", "n_a", "d_e", "d_img", "d_p", "epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 for in-batch negatives")
+        # batch_size >= 2 for in-batch negatives; type(...) is int refuses 4.0 and a JSON true
+        for name, low in (("d_cell", 1), ("d_a", 1), ("n_a", 1), ("d_e", 1), ("d_img", 1),
+                          ("d_p", 1), ("batch_size", 2), ("epochs", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         for name in ("lr", "adam_eps"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
@@ -83,8 +84,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if not self.clip > 0:  # NaN fails too; inf means no clipping
             raise ValueError(f"clip bound must be positive, got {self.clip}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 
@@ -111,11 +110,6 @@ class FlatTensors(dict):
     """Name -> view of `vector`, cut into `shapes` in their order, made with np.zeros.
 
     `vector` is little-endian float64, the byte order a checkpoint stores it in.
-    A page is zeroed on its first write, and numpy advises transparent huge
-    pages for large arrays, so one write zeroes a whole 2 MB page. That is why
-    the embedding table's gradient is not one of these made afresh each step:
-    at V = 20k, d_e = 300, scattering a batch's rows into a fresh 48 MB table
-    view zeroed nearly all of it, 9 ms a step (`ModelParameters.zero_grads`).
     """
 
     def __init__(self, shapes: dict[str, tuple[int, ...]]):
@@ -132,16 +126,15 @@ class ModelParameters:
 
     All zero, laid out by `parameter_shapes` and drawn from no RNG: `init_params`
     draws into the views, and `checkpoint.load` reads a file into them. No
-    gradient memory is made until the first `zero_grads`.
+    gradient memory is made until the first `train_step`, which owns it.
     """
 
     def __init__(self, config: TrainConfig, vocab_size: int):
         self.shapes = parameter_shapes(config, vocab_size)
         self.values = FlatTensors(self.shapes)
         self.tail_shapes = {k: s for k, s in self.shapes.items() if k != "embeddings"}
-        self.grads = self.next_grads = None  # FlatTensors over `tail_shapes`, once set
-        self.table_grad = None  # the table's (V, d_e) gradient, made once, kept zero between steps
-        self._table_written = False  # whether a backward may have written it anywhere
+        self.grads = self.next_grads = None  # train_step's FlatTensors over `tail_shapes`
+        self.table_grad = None  # train_step's (V, d_e) table gradient, zero between steps
         t = self._named = {name: Matrix(view) for name, view in self.values.items()}
 
         def cell(prefix: str) -> LstmCellParams:
@@ -161,27 +154,9 @@ class ModelParameters:
         return self._named
 
     def zero_grads(self) -> None:
-        """Point each .grad at a zero gradient: the table's at `table_grad`, the rest at `grads`.
-
-        `grads` becomes `next_grads` if set, else a new zero vector. `table_grad`
-        is made on the first call and then kept. It is zeroed whole only when a
-        backward since the last call may have written it and `clear_table_rows`
-        did not follow, so a step pays for the rows it gathers, not for V.
-        """
-        if self.table_grad is None:
-            self.table_grad = np.zeros(self.shapes["embeddings"])
-        elif self._table_written:
-            self.table_grad[...] = 0.0
-        self._table_written = True
-        self.grads, self.next_grads = self.next_grads or FlatTensors(self.tail_shapes), None
-        self.embeddings.grad = self.table_grad
-        for name, view in self.grads.items():
-            self._named[name].grad = view
-
-    def clear_table_rows(self, rows: np.ndarray) -> None:
-        """Re-zero the table gradient's `rows`: every row a backward since zero_grads wrote."""
-        self.table_grad[rows] = 0.0
-        self._table_written = False
+        """Clear every .grad; a backward reads a cleared one as zero and makes it afresh."""
+        for m in self._named.values():
+            m.grad = None
 
 
 def _xavier(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -371,15 +346,27 @@ def train_step(batch: Batch, params: ModelParameters, adam: AdamState, config: T
                rng: np.random.Generator | None = None) -> tuple[float, float, float]:
     """Forward, backward, clip and Adam for one batch.
 
-    Raises FloatingPointError, before any parameter changes, on a non-finite
-    loss or gradient. Returns, and raises, with the table gradient all zero.
+    The step's gradients are its own: each .grad points at `params.table_grad`
+    or at a view of the tail vector `params.grads` for the step only. Returning
+    or raising, the step re-zeroes the table rows it gathered and clears every
+    .grad, so no backward run between steps writes into them. Raises
+    FloatingPointError, before any parameter changes, on a non-finite loss or
+    gradient.
     """
     # The table's gradient is 0 outside the rows the encoder (src) and the decoder (tgt)
     # gather. They are np.union1d(src, tgt), found by a mask: np.unique imports numpy.ma.
     held = np.zeros(params.embeddings.rows, dtype=bool)
     held[batch.src] = held[batch.tgt] = True
     rows = np.flatnonzero(held)
-    params.zero_grads()
+    params.grads, params.next_grads = params.next_grads or FlatTensors(params.tail_shapes), None
+    if params.table_grad is None:
+        # Made once and kept: numpy advises transparent huge pages for large arrays, and a
+        # page is zeroed on its first write, so scattering a batch's rows into a fresh table
+        # zeroes whole 2 MB pages, nearly all 48 MB at V = 20k, d_e = 300 (9 ms a step).
+        params.table_grad = np.zeros(params.shapes["embeddings"])
+    params.embeddings.grad = params.table_grad
+    for name, view in params.grads.items():
+        params.named()[name].grad = view
     try:
         with Tape() as tape:
             loss, loss_c, loss_vg = composite_loss(config.objective, batch, params,
@@ -400,7 +387,8 @@ def train_step(batch: Batch, params: ModelParameters, adam: AdamState, config: T
         # keeps their pages for the next step instead of trimming them and faulting them back.
         params.next_grads = FlatTensors(params.tail_shapes)
     finally:
-        params.clear_table_rows(rows)
+        params.table_grad[rows] = 0.0
+        params.zero_grads()
     return loss_value, loss_c, loss_vg
 
 

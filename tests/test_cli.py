@@ -1,5 +1,6 @@
 """End-to-end CLI tests over a miniature corpus."""
 
+import hashlib
 import json
 import struct
 import tracemalloc
@@ -303,14 +304,21 @@ def test_checkpoint_of_other_format_fails_cleanly(workspace, tmp_path, capsys, o
     assert _salience_errors(bad, capsys) == [f"error: {bad}: {message}"]
 
 
-def test_checkpoint_whose_config_claims_larger_tensors_is_refused_before_allocating(
-        workspace, tmp_path, capsys):
-    # The metadata says d_cell=400, with its hash and CRC recomputed; layout and vectors stay.
+# larger tensors than the layout, or a float where an integer belongs
+@pytest.mark.parametrize("key, value", [("d_cell", 400), ("d_cell", 6.0), ("n_a", 2.0),
+                                        ("batch_size", 4.0), ("epochs", 1.5), ("seed", 0.5),
+                                        ("step", 3.7), ("epoch", 1.9)])
+def test_checkpoint_with_crafted_metadata_is_refused_before_allocating(
+        workspace, tmp_path, capsys, key, value):
+    # One metadata value is edited, with the config hash and the CRC recomputed; the layout
+    # and the vectors stay. The hash is taken from the dict, which TrainConfig would refuse.
     data = workspace["checkpoint"].read_bytes()
     meta_len = int.from_bytes(data[8:16], "little")
     meta = json.loads(data[20 : 20 + meta_len])
-    meta["config"]["d_cell"] = 400
-    meta["config_hash"] = ckpt.config_hash(TrainConfig(**meta["config"]))
+    section = meta["config"] if key in meta["config"] else meta
+    assert type(section[key]) is int
+    section[key] = value
+    meta["config_hash"] = hashlib.sha256(ckpt._canonical_json(meta["config"])).hexdigest()
     blob = ckpt._canonical_json(meta)
     bad = tmp_path / "bad.bin"
     bad.write_bytes(ckpt._HEADER.pack(ckpt.MAGIC, ckpt.VERSION, len(blob), zlib.crc32(blob))

@@ -302,37 +302,47 @@ def test_adam_over_gathered_table_rows_is_bit_for_bit_dense_adam(monkeypatch, se
 
 
 def assert_views_of_vectors(params):
-    """Each .data is a view of the parameter vector, and each .grad when set is one of the
-    gradient vector, except the table's, which is the model's kept buffer `table_grad`."""
+    """Each .data is a view of the parameter vector, and outside a step each .grad is None."""
     for name, m in params.named().items():
         assert np.shares_memory(m.data, params.values.vector), name
-        if name == "embeddings":
-            assert m.grad is params.table_grad, name
-        else:
-            assert m.grad is None or np.shares_memory(m.grad, params.grads.vector), name
+        assert m.grad is None, name
 
 
-def test_tensors_stay_views_of_the_parameter_and_gradient_vectors(tmp_path):
+def test_tensors_stay_views_of_the_parameter_and_gradient_vectors(tmp_path, monkeypatch):
     config = TrainConfig(objective="cap2all", **TINY)
     corpus = gen_synthetic(6, 8, config.d_img, seed=4)
     vocab = build_vocab(corpus)
     params = init_params(config, vocab.size)
     assert params.table_grad is None and params.grads is None  # set-up makes no gradient
     assert_views_of_vectors(params)
-    params.zero_grads()
-    assert all(m.grad is not None for m in params.named().values())
-    assert_views_of_vectors(params)
-    table = params.table_grad
+
+    backward, seen = Tape.backward, []
+
+    def spy(tape, loss):
+        # during the step the table's .grad is train_step's buffer, every other a view of
+        # the step's gradient vector, so the backward writes into them
+        backward(tape, loss)
+        for name, m in params.named().items():
+            if name == "embeddings":
+                assert m.grad is params.table_grad
+            else:
+                assert np.shares_memory(m.grad, params.grads.vector), name
+        seen.append(loss)
 
     batch = make_batches(numericalize(corpus, vocab), config.batch_size, seed=0)[0]
     adam = AdamState.for_params(params)
     before = params.values.vector.copy()
+    monkeypatch.setattr(Tape, "backward", spy)
     train_step(batch, params, adam, config, rng=np.random.default_rng(0))
+    monkeypatch.undo()
+    assert len(seen) == 1
     assert_views_of_vectors(params)
     assert not np.array_equal(params.values.vector, before)  # Adam updated the model's memory
-    params.zero_grads()  # takes the vector the step left in next_grads
-    assert params.next_grads is None and not params.grads.vector.any()
-    assert params.table_grad is table and not table.any()
+    with Tape() as tape:
+        loss, _, _ = composite_loss(config.objective, batch, params, train_mode=False)
+        tape.backward(loss)
+    assert params.embeddings.grad is not None
+    params.zero_grads()
     assert_views_of_vectors(params)
 
     result = train(config, corpus, out_dir=tmp_path)
@@ -487,42 +497,47 @@ def test_binding_clip_of_the_gathered_rows_equals_a_full_clip(monkeypatch):
     assert not params.table_grad.any()  # the step re-zeroed the rows it gathered
 
 
-@pytest.mark.parametrize("before", ["failed_step", "outside_backward"])
+@pytest.mark.parametrize("before",
+                         ["failed_step", "outside_backward", "backward_without_zero_grads"])
 def test_no_stale_table_gradient_reaches_the_next_step(monkeypatch, before):
-    # A step that raises after its backward, or a backward outside train_step followed by
-    # zero_grads, must leave nothing in the kept table gradient that the next step, on
-    # other rows that overlap these, would add to.
+    # After a step, a step that raises after its backward, or a backward outside train_step
+    # with or without zero_grads after it, must leave nothing that the next step, on other
+    # rows that overlap these, would add into its update.
     config, params, (first, second) = gathered_rows_setup()
     adam = AdamState.for_params(params)
     rows = [np.union1d(b.src, b.tgt) for b in (first, second)]
     shared = np.setdiff1d(np.intersect1d(*rows), [PAD])
     assert shared.size and not np.array_equal(*rows)
+    train_step(first, params, adam, config, rng=np.random.default_rng(0))
+    table = params.table_grad
     if before == "failed_step":
         backward = Tape.backward
 
         def poisoned(tape, loss):
             backward(tape, loss)
-            params.table_grad[shared[0], 2] = np.nan
+            table[shared[0], 2] = np.nan
 
         monkeypatch.setattr(Tape, "backward", poisoned)
         with pytest.raises(FloatingPointError, match="non-finite gradient of embeddings"):
-            train_step(first, params, adam, config, rng=np.random.default_rng(0))
+            train_step(first, params, adam, config, rng=np.random.default_rng(2))
         monkeypatch.undo()
-        assert not params.table_grad.any()
     else:
-        params.zero_grads()
         with Tape() as tape:
             loss, _, _ = composite_loss(config.objective, first, params, train_mode=False)
             tape.backward(loss)
-        assert params.table_grad[shared].any()
-        params.zero_grads()
+        assert params.embeddings.grad is not table and params.embeddings.grad[shared].any()
+        if before == "outside_backward":
+            params.zero_grads()
+    assert not table.any()
     train_step(second, params, adam, config, rng=np.random.default_rng(1))
-    assert not params.table_grad.any()
+    assert params.table_grad is table and not table.any()
+    assert all(m.grad is None for m in params.named().values())
 
     _, fresh, _ = gathered_rows_setup()
     fresh_adam = AdamState.for_params(fresh)
+    train_step(first, fresh, fresh_adam, config, rng=np.random.default_rng(0))
     train_step(second, fresh, fresh_adam, config, rng=np.random.default_rng(1))
-    assert adam.step == fresh_adam.step == 1
+    assert adam.step == fresh_adam.step == 2
     for got, want in ((params.values, fresh.values), (adam.m, fresh_adam.m),
                       (adam.v, fresh_adam.v)):
         assert np.array_equal(got.vector, want.vector)
@@ -569,18 +584,6 @@ def test_a_second_train_step_allocates_nothing_as_large_as_the_table(set_workers
     assert params.table_grad is table and peak < table.nbytes
 
 
-def test_embedding_gradient_is_the_kept_table_buffer():
-    config, params, batch, _, _ = tiny_setup()
-    params.zero_grads()
-    table = params.table_grad
-    with Tape() as tape:
-        loss, _, _ = composite_loss(config.objective, batch, params, train_mode=False)
-        tape.backward(loss)
-    assert params.embeddings.grad is table and table.any()  # the gather wrote into it
-    params.zero_grads()  # after a backward outside train_step it zeroes the whole buffer
-    assert params.embeddings.grad is table and not table.any()
-
-
 def test_train_steps_match_the_dense_scatter_bit_for_bit(monkeypatch, dense_select_rows):
     config = TrainConfig(seed=0)
     corpus = gen_synthetic(128, 16, config.d_img, seed=4)
@@ -600,6 +603,12 @@ def test_train_steps_match_the_dense_scatter_bit_for_bit(monkeypatch, dense_sele
     assert new[0] == old[0]
     for a, b in zip(new[1:], old[1:]):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("field, value", [("d_cell", 4.0), ("epochs", True)])
+def test_config_refuses_a_size_that_is_not_an_integer(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        TrainConfig(**{field: value})
 
 
 def test_composite_rejects_unknown_objective():
@@ -690,11 +699,11 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     config = TrainConfig(objective="cap2all", **{**TINY, "epochs": 1})
     corpus = gen_synthetic(6, 8, config.d_img, seed=4)
     result = train(config, corpus, out_dir=tmp_path / "run")
-    first = open(result.checkpoint_path, "rb").read()
+    first = Path(result.checkpoint_path).read_bytes()
     params, adam, cfg, vocab, epoch = ckpt.load(result.checkpoint_path)
     second_path = tmp_path / "again.bin"
     ckpt.save(second_path, params, adam, cfg, vocab, epoch)
-    assert open(second_path, "rb").read() == first
+    assert second_path.read_bytes() == first
 
 
 def test_checkpoint_save_interrupted_midway_keeps_previous_file(tmp_path, monkeypatch):
