@@ -31,15 +31,19 @@ class Matrix:
 
     A float64 array is taken as `data` without a copy, so a Matrix over a view
     writes through to the viewed array; other input is converted to float64.
+    When `grad_rows` is set, it holds the ascending rows of data whose gradient
+    .grad holds, in that order, as a (len(grad_rows), cols) array; every other
+    row's gradient is zero, and only `select_rows` adds into that .grad.
     """
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data", "grad", "grad_rows")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         if self.data.ndim != 2:
             raise ShapeError(f"Matrix must be 2-D, got shape {self.data.shape}")
         self.grad: np.ndarray | None = None
+        self.grad_rows: np.ndarray | None = None  # None: .grad is shaped like data
 
     @property
     def rows(self) -> int:
@@ -60,6 +64,8 @@ class Matrix:
 
     def accumulate(self, g: np.ndarray) -> None:
         """Add g, shaped like data, to the gradient; the first call stores a copy of g."""
+        if self.grad_rows is not None:
+            raise ValueError(f"accumulate: the gradient of {self!r} holds only its grad_rows")
         if self.grad is None:
             self.grad = np.array(g, dtype=np.float64)
         else:
@@ -269,7 +275,8 @@ def select_rows(m: Matrix, ids) -> Matrix:
 
     Backward sums each used row's gradients from 0 in gather order, then adds
     that sum once, in place, into m.grad; rows not gathered are untouched, and
-    nothing shaped like m is made unless m.grad is None.
+    nothing shaped like m is made unless m.grad is None. With m.grad_rows set,
+    each sum goes to its row's place there; a row not held raises ValueError.
     """
     idx = np.asarray(ids, dtype=np.intp)
     out = Matrix(m.data[idx])  # integer-array indexing copies, so out never aliases m
@@ -282,7 +289,12 @@ def select_rows(m: Matrix, ids) -> Matrix:
         # Flat indices take np.add.at's fast path; 2-D row indices are about 3x slower.
         np.add.at(sums.reshape(-1), (where.reshape(-1, 1) * cols + np.arange(cols)).reshape(-1),
                   out.grad.reshape(-1))
-        if m.grad is None:
+        if m.grad_rows is not None:
+            at = np.searchsorted(m.grad_rows, rows)
+            if not (at < m.grad_rows.size).all() or (m.grad_rows[at] != rows).any():
+                raise ValueError("select_rows: a gathered row is not among the grad_rows")
+            rows = at
+        elif m.grad is None:
             m.grad = np.zeros_like(m.data)
         m.grad[rows] += sums
 

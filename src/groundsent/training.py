@@ -3,13 +3,13 @@
 Recurrent square blocks are initialized orthogonally (sign-corrected QR of
 seeded Gaussians); everything else uses xavier-uniform bounds. Parameters
 and Adam's moments are each one vector (`FlatTensors`), the embedding table
-first. The gradients belong to `train_step`: a (V, d_e) table buffer kept
-across steps, and a vector over the tensors after the table, the tail. A
-batch's table gradient is zero outside the rows it gathers, so the step
-checks, clips and re-zeroes only those rows and the tail; Adam's pass alone
-covers the whole parameter vector. That vector work runs span by span: a
-vector of 2**20 entries or more is cut into `parallel.spans`, one per core,
-run by `parallel.run`, so results are bit-for-bit those of one pass. For a
+first. The gradients belong to `train_step`: an array of the table rows a
+batch gathers, outside which its table gradient is zero, and a vector over
+the tensors after the table, the tail. The step checks and clips only those
+rows and the tail; Adam's pass alone covers the whole parameter vector. That
+vector work runs span by span: a vector of 2**20 entries or more is cut into
+`parallel.spans`, one per core, run by `parallel.run`, so results are
+bit-for-bit those of one pass. For a
 fixed BLAS thread count, runs are fully determined by (config, seed, corpus):
 shuffling and dropout streams are re-derived per epoch from the seed, so
 resuming from an epoch checkpoint reproduces the uninterrupted trajectory.
@@ -44,6 +44,7 @@ _SEED_INIT, _SEED_DROPOUT = 11, 23
 
 # Entries per Adam block: the block's six arrays (about 1.5 MB) stay in a core's cache.
 ADAM_BLOCK = 1 << 15
+TABLE_BLOCK = 512  # rows per random draw of the table: about 1 MB at d_e = 300
 
 
 @dataclass
@@ -70,22 +71,21 @@ class TrainConfig:
             raise ValueError(f"unknown objective {self.objective!r}, expected one of {OBJECTIVES}")
         if self.d_p is None:
             self.d_p = self.d_img
-        # batch_size >= 2 for in-batch negatives; type(...) is int refuses 4.0 and a JSON true
-        for name, low in (("d_cell", 1), ("d_a", 1), ("n_a", 1), ("d_e", 1), ("d_img", 1),
-                          ("d_p", 1), ("batch_size", 2), ("epochs", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if type(value) is not int or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        for name in ("lr", "adam_eps"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not self.clip > 0:  # NaN fails too; inf means no clipping
-            raise ValueError(f"clip bound must be positive, got {self.clip}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+        # batch_size >= 2 for in-batch negatives, and clip = inf means no clipping. An int
+        # field refuses 4.0, and every field a bool (a JSON true); NaN is in no interval.
+        for names, kind, interval in (
+                ("d_cell d_a n_a d_e d_img d_p epochs", int, "[1, inf)"),
+                ("batch_size", int, "[2, inf)"), ("seed", int, "[0, inf)"),
+                ("lr adam_eps", float, "(0, inf)"), ("beta1 beta2 dropout", float, "[0, 1)"),
+                ("clip", float, "(0, inf]")):
+            low, high = map(float, interval[1:-1].split(","))
+            for name in names.split():
+                value = getattr(self, name)
+                typed = type(value) is int or (kind is float and isinstance(value, float))
+                if not (typed and (low <= value if interval[0] == "[" else low < value)
+                        and (value <= high if interval[-1] == "]" else value < high)):
+                    raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}"
+                                     f" in {interval}, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -134,7 +134,6 @@ class ModelParameters:
         self.values = FlatTensors(self.shapes)
         self.tail_shapes = {k: s for k, s in self.shapes.items() if k != "embeddings"}
         self.grads = self.next_grads = None  # train_step's FlatTensors over `tail_shapes`
-        self.table_grad = None  # train_step's (V, d_e) table gradient, zero between steps
         t = self._named = {name: Matrix(view) for name, view in self.values.items()}
 
         def cell(prefix: str) -> LstmCellParams:
@@ -154,9 +153,9 @@ class ModelParameters:
         return self._named
 
     def zero_grads(self) -> None:
-        """Clear every .grad; a backward reads a cleared one as zero and makes it afresh."""
+        """Clear every .grad and grad_rows; a backward makes a cleared .grad afresh from zero."""
         for m in self._named.values():
-            m.grad = None
+            m.grad = m.grad_rows = None
 
 
 def _xavier(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -186,10 +185,11 @@ def init_params(config: TrainConfig, vocab_size: int,
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SEED_INIT]))
     params = ModelParameters(config, vocab_size)
     for name, view in params.values.items():
-        if name == "embeddings":
-            view[...] = (rng.uniform(-0.1, 0.1, size=view.shape) if embedding_table is None
-                         else embedding_table.weights)
-            view[PAD] = 0.0
+        if name == "embeddings" and embedding_table is not None:
+            view[...] = embedding_table.weights
+        elif name == "embeddings":  # in row blocks: no table-sized temporary, one draw's bits
+            for block in np.split(view, range(TABLE_BLOCK, view.shape[0], TABLE_BLOCK)):
+                block[...] = rng.uniform(-0.1, 0.1, size=block.shape)
         elif name.endswith("_input_w"):
             for block in np.split(view, 4, axis=1):
                 block[...] = _xavier(rng, block.shape)
@@ -200,6 +200,7 @@ def init_params(config: TrainConfig, vocab_size: int,
             np.split(view, 4, axis=1)[1][...] = 1.0  # forget gate
         elif name != "dec_out_b" and not name.startswith("proj_b"):
             view[...] = _xavier(rng, view.shape)
+    params.embeddings.data[PAD] = 0.0
     return params
 
 
@@ -346,12 +347,12 @@ def train_step(batch: Batch, params: ModelParameters, adam: AdamState, config: T
                rng: np.random.Generator | None = None) -> tuple[float, float, float]:
     """Forward, backward, clip and Adam for one batch.
 
-    The step's gradients are its own: each .grad points at `params.table_grad`
-    or at a view of the tail vector `params.grads` for the step only. Returning
-    or raising, the step re-zeroes the table rows it gathered and clears every
-    .grad, so no backward run between steps writes into them. Raises
-    FloatingPointError, before any parameter changes, on a non-finite loss or
-    gradient.
+    The step's gradients are its own, bound for the step only: the table's .grad
+    is a zero array of the rows the batch gathers, named by its grad_rows, and
+    every other .grad a view of the tail vector `params.grads`. Returning or
+    raising, the step clears every .grad and grad_rows, so no backward run
+    between steps writes into them. Raises FloatingPointError, before any
+    parameter changes, on a non-finite loss or gradient.
     """
     # The table's gradient is 0 outside the rows the encoder (src) and the decoder (tgt)
     # gather. They are np.union1d(src, tgt), found by a mask: np.unique imports numpy.ma.
@@ -359,12 +360,8 @@ def train_step(batch: Batch, params: ModelParameters, adam: AdamState, config: T
     held[batch.src] = held[batch.tgt] = True
     rows = np.flatnonzero(held)
     params.grads, params.next_grads = params.next_grads or FlatTensors(params.tail_shapes), None
-    if params.table_grad is None:
-        # Made once and kept: numpy advises transparent huge pages for large arrays, and a
-        # page is zeroed on its first write, so scattering a batch's rows into a fresh table
-        # zeroes whole 2 MB pages, nearly all 48 MB at V = 20k, d_e = 300 (9 ms a step).
-        params.table_grad = np.zeros(params.shapes["embeddings"])
-    params.embeddings.grad = params.table_grad
+    params.embeddings.grad = np.zeros((rows.size, params.embeddings.cols))
+    params.embeddings.grad_rows = rows
     for name, view in params.grads.items():
         params.named()[name].grad = view
     try:
@@ -375,7 +372,7 @@ def train_step(batch: Batch, params: ModelParameters, adam: AdamState, config: T
             if not np.isfinite(loss_value):
                 raise FloatingPointError(f"non-finite loss {loss_value} at step {adam.step + 1}")
             tape.backward(loss)
-        gathered, tail = params.table_grad[rows], params.grads.vector
+        gathered, tail = params.embeddings.grad, params.grads.vector
         if not (all_finite(gathered.reshape(-1)) and all_finite(tail)):
             name = next(k for k, m in params.named().items() if not np.isfinite(m.grad).all())
             raise FloatingPointError(f"non-finite gradient of {name} at step {adam.step + 1}")
@@ -387,7 +384,6 @@ def train_step(batch: Batch, params: ModelParameters, adam: AdamState, config: T
         # keeps their pages for the next step instead of trimming them and faulting them back.
         params.next_grads = FlatTensors(params.tail_shapes)
     finally:
-        params.table_grad[rows] = 0.0
         params.zero_grads()
     return loss_value, loss_c, loss_vg
 

@@ -43,7 +43,8 @@ def dense_select_rows():
     """The embedding gather as it was before its backward wrote rows in place: a reference.
 
     Its backward scatters with np.add.at into a dense zero matrix shaped like
-    the gathered-from matrix, then accumulates all of it.
+    the gathered-from matrix, then accumulates all of it, or, when the matrix
+    holds its gradient by rows, adds those rows of it.
     """
 
     def select_rows(m, ids):
@@ -53,7 +54,10 @@ def dense_select_rows():
         def backward():
             gm = np.zeros_like(m.data)
             np.add.at(gm, idx, out.grad)
-            m.accumulate(gm)
+            if m.grad_rows is None:
+                m.accumulate(gm)
+            else:
+                m.grad += gm[m.grad_rows]
 
         ad.record("select_rows", (m,), out, backward)
         return out

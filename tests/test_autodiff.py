@@ -144,10 +144,11 @@ def test_select_rows_output_is_a_copy(ids):
     np.testing.assert_array_equal(m.data, np.arange(6.0).reshape(3, 2))
 
 
-def gathered_grad(select_rows, data, grad, ids, g):
+def gathered_grad(select_rows, data, grad, ids, g, grad_rows=None):
     """m.grad after one select_rows backward of upstream gradient g into m = Matrix(data)."""
     m = Matrix(data)
     m.grad = None if grad is None else grad.copy()
+    m.grad_rows = grad_rows
     with Tape() as tape:
         out = select_rows(m, ids)
     out.grad = g
@@ -165,6 +166,37 @@ def test_select_rows_backward_matches_dense_scatter(dense_select_rows, preset):
     g = rng.standard_normal((ids.size, 6))
     np.testing.assert_array_equal(gathered_grad(ad.select_rows, data, grad, ids, g),
                                   gathered_grad(dense_select_rows, data, grad, ids, g))
+
+
+def test_select_rows_backward_into_held_rows_matches_the_dense_rows():
+    # each row's sum lands at the row's place in grad_rows, and a held row not gathered
+    # keeps its gradient, as it does in a dense .grad
+    rng = np.random.default_rng(10)
+    data = rng.standard_normal((40, 6))
+    ids = np.concatenate([np.full(32, 1), rng.integers(0, 40, 50), [-1, 39, -40]])
+    g = rng.standard_normal((ids.size, 6))
+    held = np.union1d(ids % 40, [5, 17])
+    dense = np.zeros((40, 6))
+    dense[held] = rng.standard_normal((held.size, 6))
+    np.testing.assert_array_equal(
+        gathered_grad(ad.select_rows, data, dense[held], ids, g, grad_rows=held),
+        gathered_grad(ad.select_rows, data, dense, ids, g)[held])
+
+
+@pytest.mark.parametrize("ids", [[1], [3], [0, 3], [-1]])
+def test_select_rows_backward_of_a_row_not_held_raises(ids):
+    g = np.ones((len(ids), 3))
+    with pytest.raises(ValueError, match="not among the grad_rows"):
+        gathered_grad(ad.select_rows, np.zeros((4, 3)), np.zeros((2, 3)), ids, g,
+                      grad_rows=np.array([0, 2]))
+
+
+def test_accumulate_into_a_row_held_gradient_raises():
+    m = Matrix(np.zeros((4, 3)))
+    m.grad, m.grad_rows = np.zeros((2, 3)), np.array([0, 2])
+    with pytest.raises(ValueError, match="holds only its grad_rows"):
+        m.accumulate(np.ones((4, 3)))
+    assert not m.grad.any()
 
 
 def test_select_rows_backward_leaves_other_rows_bit_for_bit():

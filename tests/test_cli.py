@@ -304,10 +304,10 @@ def test_checkpoint_of_other_format_fails_cleanly(workspace, tmp_path, capsys, o
     assert _salience_errors(bad, capsys) == [f"error: {bad}: {message}"]
 
 
-# larger tensors than the layout, or a float where an integer belongs
+# larger tensors than the layout, a float where an integer belongs, or a bool for a rate
 @pytest.mark.parametrize("key, value", [("d_cell", 400), ("d_cell", 6.0), ("n_a", 2.0),
                                         ("batch_size", 4.0), ("epochs", 1.5), ("seed", 0.5),
-                                        ("step", 3.7), ("epoch", 1.9)])
+                                        ("step", 3.7), ("epoch", 1.9), ("lr", True)])
 def test_checkpoint_with_crafted_metadata_is_refused_before_allocating(
         workspace, tmp_path, capsys, key, value):
     # One metadata value is edited, with the config hash and the CRC recomputed; the layout
@@ -316,7 +316,7 @@ def test_checkpoint_with_crafted_metadata_is_refused_before_allocating(
     meta_len = int.from_bytes(data[8:16], "little")
     meta = json.loads(data[20 : 20 + meta_len])
     section = meta["config"] if key in meta["config"] else meta
-    assert type(section[key]) is int
+    assert type(section[key]) in (int, float)  # the key is there, and holds a number
     section[key] = value
     meta["config_hash"] = hashlib.sha256(ckpt._canonical_json(meta["config"])).hexdigest()
     blob = ckpt._canonical_json(meta)

@@ -147,14 +147,25 @@ def test_init_params_matches_the_stacked_construction(tmp_path, case):
     assert np.array_equal(params.values.vector, stacked_init_vector(config, vocab.size, table))
 
 
-def test_init_params_holds_one_copy_of_the_embedding_table_besides_the_vector():
+def test_init_params_draws_the_table_without_a_table_sized_temporary():
+    # At GloVe size: the vector, and below 8 MB of draws; one whole draw of the table is 48 MB.
     tracemalloc.start()
     try:
-        params = init_params(TrainConfig(d_e=300), 5_000)
+        params = init_params(TrainConfig(d_e=300), 20_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * params.values.vector.nbytes
+    assert peak < params.values.vector.nbytes + (8 << 20)
+
+
+@pytest.mark.parametrize("block", [1, 7, 512])
+def test_table_drawn_in_blocks_equals_one_draw(monkeypatch, block):
+    # 68 rows: many blocks, a short last one, or one block; every tensor drawn after the
+    # table matches too, so the generator is left where one draw would leave it
+    monkeypatch.setattr(training, "TABLE_BLOCK", block)
+    config = TrainConfig(seed=3)
+    params = init_params(config, 68)
+    assert np.array_equal(params.values.vector, stacked_init_vector(config, 68))
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +313,10 @@ def test_adam_over_gathered_table_rows_is_bit_for_bit_dense_adam(monkeypatch, se
 
 
 def assert_views_of_vectors(params):
-    """Each .data is a view of the parameter vector, and outside a step each .grad is None."""
+    """Each .data is a view of the parameter vector; outside a step .grad and grad_rows are None."""
     for name, m in params.named().items():
         assert np.shares_memory(m.data, params.values.vector), name
-        assert m.grad is None, name
+        assert m.grad is None and m.grad_rows is None, name
 
 
 def test_tensors_stay_views_of_the_parameter_and_gradient_vectors(tmp_path, monkeypatch):
@@ -313,18 +324,20 @@ def test_tensors_stay_views_of_the_parameter_and_gradient_vectors(tmp_path, monk
     corpus = gen_synthetic(6, 8, config.d_img, seed=4)
     vocab = build_vocab(corpus)
     params = init_params(config, vocab.size)
-    assert params.table_grad is None and params.grads is None  # set-up makes no gradient
+    assert params.grads is None  # set-up makes no gradient
     assert_views_of_vectors(params)
 
     backward, seen = Tape.backward, []
 
     def spy(tape, loss):
-        # during the step the table's .grad is train_step's buffer, every other a view of
-        # the step's gradient vector, so the backward writes into them
+        # during the step the table's .grad holds the rows the batch gathers, every other
+        # .grad is a view of the step's gradient vector, so the backward writes into them
         backward(tape, loss)
         for name, m in params.named().items():
             if name == "embeddings":
-                assert m.grad is params.table_grad
+                rows = np.union1d(batch.src, batch.tgt)
+                assert m.grad.shape == (rows.size, config.d_e) and m.grad.any()
+                np.testing.assert_array_equal(m.grad_rows, rows)
             else:
                 assert np.shares_memory(m.grad, params.grads.vector), name
         seen.append(loss)
@@ -347,7 +360,7 @@ def test_tensors_stay_views_of_the_parameter_and_gradient_vectors(tmp_path, monk
 
     result = train(config, corpus, out_dir=tmp_path)
     loaded, adam, _, _, _ = ckpt.load(result.checkpoint_path)
-    assert loaded.table_grad is None and loaded.grads is None
+    assert loaded.grads is None
     assert_views_of_vectors(loaded)
     for moments in (adam.m, adam.v):
         assert all(np.shares_memory(view, moments.vector) for view in moments.values())
@@ -457,7 +470,8 @@ def test_nan_in_a_gathered_table_row_stops_the_step_before_any_update(monkeypatc
 
     def poisoned(tape, loss):
         backward(tape, loss)
-        params.embeddings.grad[batch.src[0, 1], 2] = np.nan
+        table = params.embeddings
+        table.grad[np.searchsorted(table.grad_rows, batch.src[0, 1]), 2] = np.nan
 
     monkeypatch.setattr(Tape, "backward", poisoned)
     with pytest.raises(FloatingPointError, match="non-finite gradient of embeddings at step 1"):
@@ -474,8 +488,11 @@ def test_binding_clip_of_the_gathered_rows_equals_a_full_clip(monkeypatch):
     backward, adam_step = Tape.backward, training.adam_step
 
     def keep(tape, loss):
+        # the table's gradient laid out dense: its held rows, and 0 elsewhere
         backward(tape, loss)
-        raw.append((params.table_grad.copy(), params.grads.vector.copy()))
+        table = np.zeros(params.embeddings.shape)
+        table[params.embeddings.grad_rows] = params.embeddings.grad
+        raw.append((table, params.embeddings.grad_rows.copy(), params.grads.vector.copy()))
 
     def spy(data, grad, state, *args, table):
         handed.append((grad.copy(), *(x.copy() for x in table)))
@@ -484,8 +501,9 @@ def test_binding_clip_of_the_gathered_rows_equals_a_full_clip(monkeypatch):
     monkeypatch.setattr(Tape, "backward", keep)
     monkeypatch.setattr(training, "adam_step", spy)
     train_step(batch, params, AdamState.for_params(params), config, rng=np.random.default_rng(0))
-    table, tail = raw[0]
+    table, held, tail = raw[0]
     rows = np.union1d(batch.src, batch.tgt)
+    np.testing.assert_array_equal(held, rows)
     assert (np.abs(table[rows]) > 0.01).any()  # the clip binds on the table
     assert not table[PAD].any()
     got_tail, got_rows, got_row_grads = handed[0]
@@ -494,7 +512,7 @@ def test_binding_clip_of_the_gathered_rows_equals_a_full_clip(monkeypatch):
     assert not np.delete(table, rows, axis=0).any()
     np.testing.assert_array_equal(got_tail, np.clip(tail, -0.01, 0.01))
     np.testing.assert_array_equal(params.grads.vector, got_tail)  # the tail is clipped in place
-    assert not params.table_grad.any()  # the step re-zeroed the rows it gathered
+    assert params.embeddings.grad is None and params.embeddings.grad_rows is None
 
 
 @pytest.mark.parametrize("before",
@@ -509,13 +527,13 @@ def test_no_stale_table_gradient_reaches_the_next_step(monkeypatch, before):
     shared = np.setdiff1d(np.intersect1d(*rows), [PAD])
     assert shared.size and not np.array_equal(*rows)
     train_step(first, params, adam, config, rng=np.random.default_rng(0))
-    table = params.table_grad
     if before == "failed_step":
         backward = Tape.backward
 
         def poisoned(tape, loss):
             backward(tape, loss)
-            table[shared[0], 2] = np.nan
+            table = params.embeddings
+            table.grad[np.searchsorted(table.grad_rows, shared[0]), 2] = np.nan
 
         monkeypatch.setattr(Tape, "backward", poisoned)
         with pytest.raises(FloatingPointError, match="non-finite gradient of embeddings"):
@@ -525,13 +543,14 @@ def test_no_stale_table_gradient_reaches_the_next_step(monkeypatch, before):
         with Tape() as tape:
             loss, _, _ = composite_loss(config.objective, first, params, train_mode=False)
             tape.backward(loss)
-        assert params.embeddings.grad is not table and params.embeddings.grad[shared].any()
+        # outside a step the backward makes a dense gradient, which the next step replaces
+        assert params.embeddings.grad_rows is None
+        assert params.embeddings.grad.shape == params.embeddings.shape
+        assert params.embeddings.grad[shared].any()
         if before == "outside_backward":
             params.zero_grads()
-    assert not table.any()
     train_step(second, params, adam, config, rng=np.random.default_rng(1))
-    assert params.table_grad is table and not table.any()
-    assert all(m.grad is None for m in params.named().values())
+    assert all(m.grad is None and m.grad_rows is None for m in params.named().values())
 
     _, fresh, _ = gathered_rows_setup()
     fresh_adam = AdamState.for_params(fresh)
@@ -558,30 +577,31 @@ def test_train_step_never_allocates_a_dense_vocabulary_buffer():
     finally:
         tracemalloc.stop()
     rows = batch.size * (batch.tgt.shape[1] - 1)
-    # the table gradient, made on the first step, and this step's and the next step's tails
-    net = peak - params.table_grad.nbytes - 2 * params.grads.vector.nbytes
+    # the gradient of the table rows the batch gathers, and this step's and the next step's tails
+    gathered = np.union1d(batch.src, batch.tgt).size * config.d_e * 8
+    net = peak - gathered - 2 * params.grads.vector.nbytes
     assert net < rows * v * 8
 
 
-def test_a_second_train_step_allocates_nothing_as_large_as_the_table(set_workers):
-    # At GloVe size the table gradient outlives the step, and the step's gradient vector
-    # covers only the tensors after the table. One worker: the head holds an 8 MB chunk
-    # per core at a time, so on many cores its buffers alone would pass the table's size.
+def test_train_steps_allocate_nothing_as_large_as_the_table(set_workers):
+    # At GloVe size the table's gradient holds only the gathered rows, and the step's
+    # gradient vector covers only the tensors after the table, on the first step and the
+    # next. One worker: the head holds an 8 MB chunk per core at a time, so on many cores
+    # its buffers alone would pass the table's size.
     set_workers(1)
     config = TrainConfig(d_e=300, batch_size=32, seed=0)
     corpus = gen_synthetic(64, 8, config.d_img, seed=0)
     batches = make_batches(numericalize(corpus, build_vocab(corpus)), 32, seed=0)
     params = init_params(config, 20_000)
     adam = AdamState.for_params(params)
-    train_step(batches[0], params, adam, config, rng=np.random.default_rng(0))
-    table = params.table_grad
-    tracemalloc.start()
-    try:
-        train_step(batches[1], params, adam, config, rng=np.random.default_rng(1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert params.table_grad is table and peak < table.nbytes
+    for i, batch in enumerate(batches[:2]):
+        tracemalloc.start()
+        try:
+            train_step(batch, params, adam, config, rng=np.random.default_rng(i))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < params.values["embeddings"].nbytes, i
 
 
 def test_train_steps_match_the_dense_scatter_bit_for_bit(monkeypatch, dense_select_rows):
@@ -609,6 +629,31 @@ def test_train_steps_match_the_dense_scatter_bit_for_bit(monkeypatch, dense_sele
 def test_config_refuses_a_size_that_is_not_an_integer(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("lr", True), ("beta1", False), ("clip", True),
+                                          ("adam_eps", True), ("dropout", False), ("lr", "0.1"),
+                                          ("beta2", None)])
+def test_config_refuses_a_rate_that_is_not_a_number(field, value):
+    # a bool is an int to Python, and a JSON true in a checkpoint would train at lr 1.0
+    with pytest.raises(ValueError, match=f"{field} must be a number"):
+        TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, refused, accepted", [
+    ("lr", [0.0, -1e-3, np.inf, np.nan], [1, 1e-3, np.float64(0.5)]),
+    ("adam_eps", [0.0, np.inf], [1e-8]),
+    ("beta1", [-0.1, 1.0, np.nan], [0, 0.0, 0.9]),
+    ("beta2", [1.0, 2], [0.999]),
+    ("dropout", [-0.1, 1.0], [0, 0.0, 0.5]),
+    ("clip", [0.0, -1.0, np.nan], [np.inf, 1, 0.01]),
+])
+def test_config_rate_bounds(field, refused, accepted):
+    for value in refused:
+        with pytest.raises(ValueError, match=f"{field} must be a number in"):
+            TrainConfig(**{field: value})
+    for value in accepted:
+        assert getattr(TrainConfig(**{field: value}), field) == value
 
 
 def test_composite_rejects_unknown_objective():

@@ -1,6 +1,6 @@
 """Reference values of two short training runs, kept in trajectory.json beside this script.
 
-    PYTHONPATH=src python tests/trajectory_reference.py [--margin | --digest | --faults]
+    PYTHONPATH=src python tests/trajectory_reference.py [--margin | --digest]
 
 writes tests/trajectory.json; `tests/test_trajectory.py` replays both runs and
 compares. With --margin it writes nothing and prints, for each run, the
@@ -8,10 +8,9 @@ largest relative deviation of a fresh run from the file, measured as the
 test measures it, against the test's tolerance. With --digest it writes
 nothing and prints, for each run, a sha256 over the bytes of the final
 parameter, m and v vectors and of every step's loss parts: two source trees
-train bit-for-bit alike when their digests match on one machine. With
---faults it writes nothing and prints, for each case, the minor page faults
-of each of 24 steps after a warm-up step (`getrusage`, the whole process),
-trained on a corpus of 25 batches.
+train bit-for-bit alike when their digests match on one machine. Run as a
+script, it pins BLAS and OpenMP to one thread through each thread variable
+the shell leaves unset, so the digest does not follow the shell's settings.
 
 The runs are 8 cap2all steps at the defaults, and 4 steps at V = 20,000 and
 d_e = 300 with a clip bound small enough to bind, where the vocabulary head
@@ -24,12 +23,18 @@ say why.
 
 from __future__ import annotations
 
+import os
+
+if __name__ == "__main__":  # before numpy loads: BLAS reads its thread count once
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",  # perfbench/env.py's
+                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+
 import argparse
 import hashlib
 import json
 import math
 import re
-import resource
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +46,6 @@ from groundsent.training import AdamState, TrainConfig, init_params, train_step
 
 PATH = Path(__file__).resolve().parent / "trajectory.json"
 SEED = 5
-FAULT_STEPS = 24  # steps --faults counts: the fault pattern cycles over more steps than a case has
 DROPOUT_STREAM = 23  # training._SEED_DROPOUT, the tag `train` derives each epoch's dropout from
 
 CASES = {
@@ -50,15 +54,15 @@ CASES = {
 }
 
 
-def setup(case: str, steps: int | None = None):
+def setup(case: str):
     """The case's config, vocabulary, fresh parameters and Adam state, dropout stream, batches.
 
-    There is one batch for each of the case's steps, or for each of `steps` when given.
+    There is one batch for each of the case's steps.
     """
     spec = CASES[case]
     config = TrainConfig(seed=SEED, **spec["config"])
-    corpus = gen_synthetic(config.batch_size * (steps or spec["steps"]), spec["v_content"],
-                           config.d_img, seed=SEED)
+    corpus = gen_synthetic(config.batch_size * spec["steps"], spec["v_content"], config.d_img,
+                           seed=SEED)
     visual, ordinary = synthetic_token_names(spec["v_content"])
     vocab = Vocabulary(visual + ordinary)
     params = init_params(config, vocab.size)
@@ -73,17 +77,6 @@ def run(case: str):
     config, vocab, params, adam, rng, batches = setup(case)
     losses = [list(train_step(batch, params, adam, config, rng=rng)) for batch in batches]
     return config, vocab, params, adam, losses
-
-
-def faults(case: str) -> list[int]:
-    """Minor page faults of each of FAULT_STEPS steps of `case`, after a warm-up step."""
-    config, _, params, adam, rng, batches = setup(case, FAULT_STEPS + 1)
-    counts = []
-    for batch in batches:
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        train_step(batch, params, adam, config, rng=rng)
-        counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    return counts[1:]
 
 
 def tensor_sums(params, adam) -> dict:
@@ -131,8 +124,6 @@ def main() -> None:
                       help="print each run's largest relative deviation from the file")
     mode.add_argument("--digest", action="store_true",
                       help="print a sha256 of each run's final vectors and losses")
-    mode.add_argument("--faults", action="store_true",
-                      help="print each run's minor page faults per step after a warm-up step")
     args = parser.parse_args()
     if args.margin:
         for case in CASES:
@@ -141,12 +132,6 @@ def main() -> None:
     if args.digest:
         for case in CASES:
             print(f"{case}: sha256 {digest(case)}")
-        return
-    if args.faults:
-        for case in CASES:
-            counts = faults(case)
-            print(f"{case}: minor faults per step: mean {np.mean(counts):.0f}, "
-                  f"median {np.median(counts):.0f}, each {counts}")
         return
     out = {}
     for case in CASES:
