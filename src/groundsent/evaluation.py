@@ -6,8 +6,14 @@ deterministic (dropout off) and safe to run concurrently across inputs.
 Sentences are encoded as lanes (see `encoder`): chunks of ENCODE_CHUNK in
 stable length order, each PAD-padded into one (B, T) id matrix and run by one
 call; rows come back in input order. A lane's result depends on its chunk
-only through rounding (B = 1 and B > 1 run different BLAS kernels). Ranks are
-computed array-wide.
+only through rounding (B = 1 and B > 1 run different BLAS kernels).
+
+Retrieval scores each direction from row blocks of the cosine product, RANK_BLOCK
+queries at a time, so no (n, n) array is made; the two directions run as the
+two pieces of one `parallel.run` round. A block's product can differ from the
+whole (n, n) product in the last bit, so, as with chunked encoding, a rank can
+depend on the block size only where two similarities in one row are within
+rounding of each other.
 """
 
 from __future__ import annotations
@@ -16,16 +22,18 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Matrix
+from . import parallel
+from .autodiff import Matrix, normalize_rows
 from .data import BOS, EOS, UNK, Sample, Vocabulary, pad_sequences, tokenize
 from .encoder import attend, encode, encode_sentence
-from .grounding import cosine_matrix, project
+from .grounding import project
 from .training import ModelParameters
 
 
 # Samples encoded per call. Encoding a 1,000-sample pool as one batch raised peak
 # memory from 58 to 81 MB; in chunks of 64 it stays within 1 MB of one at a time.
 ENCODE_CHUNK = 64
+RANK_BLOCK = 64  # queries scored per product in `ranks`: a (64, n) block, 0.5 MB at pool 1,000
 
 
 @dataclass
@@ -73,14 +81,20 @@ def encode_reps(params: ModelParameters, samples: list[Sample]) -> np.ndarray:
     return _encode_ids(params, [s.src for s in samples])
 
 
-def ranks(sims: np.ndarray) -> np.ndarray:
-    """1-based rank of the diagonal entry in each row of the (n, n) `sims`; ties break by column."""
-    out, diag = np.empty(len(sims), dtype=np.int64), np.diagonal(sims)[:, None]
-    for a in range(0, len(sims), ENCODE_CHUNK):  # row blocks: no (n, n) temporary
-        block, true = sims[a : a + ENCODE_CHUNK], diag[a : a + ENCODE_CHUNK]
-        # an earlier column outranks the diagonal on a tie, a later one only when greater
+def ranks(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """1-based rank of keys[k] among all keys for queries[k], by dot product; ties break by index.
+
+    Rows are unit vectors, so the dot product is the cosine. The scores come
+    RANK_BLOCK queries at a time, each block one (block, n) product.
+    """
+    out = np.empty(len(queries), dtype=np.int64)
+    for a in range(0, len(queries), RANK_BLOCK):
+        block = queries[a : a + RANK_BLOCK] @ keys.T
+        rows = np.arange(len(block))
+        true = block[rows, a + rows][:, None]
+        # an earlier key outranks the true one on a tie, a later one only when greater
         earlier = np.count_nonzero(block[:, :a] >= true, axis=1) + np.count_nonzero(
-            np.tril(block[:, a : a + ENCODE_CHUNK] == true, -1), axis=1)
+            np.tril(block[:, a : a + RANK_BLOCK] == true, -1), axis=1)
         out[a : a + len(block)] = 1 + earlier + np.count_nonzero(block[:, a:] > true, axis=1)
     return out
 
@@ -100,8 +114,14 @@ def retrieval_eval(params: ModelParameters,
                    samples: list[Sample]) -> tuple[RetrievalReport, RetrievalReport]:
     """Rank every image for every sentence (and vice versa) by cosine similarity.
 
-    The pool is ranked in sample-id order, so ties break by id and the
-    reports depend on the pool as a set, not on the order it is given in.
+    Predictions and images are normalized once each (the epsilon-guarded
+    `normalize_rows` of `grounding.cosine_matrix`), and `ranks` scores each
+    direction in row blocks: sentence to image ranks the images for each
+    prediction, image to sentence the predictions for each image. The
+    directions run in rounds of at most `parallel.WORKERS` pieces, so one
+    worker runs them in turn. The pool is ranked in sample-id order, so ties
+    break by id and the reports depend on the pool as a set, not on the order
+    it is given in.
     """
     if len(samples) < 2:
         raise ValueError("retrieval needs a pool of at least 2 samples")
@@ -109,9 +129,13 @@ def retrieval_eval(params: ModelParameters,
         raise ValueError("retrieval pool has duplicate sample ids")
     samples = sorted(samples, key=lambda s: s.id)
     predicted = project(params.projection, Matrix(encode_reps(params, samples)))
-    images = Matrix(np.vstack([s.img for s in samples]))
-    sims = cosine_matrix(predicted, images).data  # [k, j] = sim(pred_k, img_j)
-    return _report("sentence_to_image", ranks(sims)), _report("image_to_sentence", ranks(sims.T))
+    p = normalize_rows(predicted).data
+    i = normalize_rows(Matrix(np.vstack([s.img for s in samples]))).data
+    pieces = [(p, i), (i, p)]  # sentence to image, image to sentence
+    found = []
+    for first in range(0, len(pieces), parallel.WORKERS):
+        found += parallel.run(lambda piece: ranks(*piece), pieces[first : first + parallel.WORKERS])
+    return _report("sentence_to_image", found[0]), _report("image_to_sentence", found[1])
 
 
 def salience(params: ModelParameters, vocab: Vocabulary, sentence: str) -> SalienceRecord:

@@ -9,13 +9,13 @@ the tensors after the table, the tail. The step checks and clips only those
 rows and the tail; Adam's pass alone covers the whole parameter vector. That
 vector work runs span by span: a vector of 2**20 entries or more is cut into
 `parallel.spans`, one per core, run by `parallel.run`, so results are
-bit-for-bit those of one pass. For a
-fixed BLAS thread count, runs are fully determined by (config, seed, corpus):
-shuffling and dropout streams are re-derived per epoch from the seed, so
-resuming from an epoch checkpoint reproduces the uninterrupted trajectory.
-`groundsent train` does not pin that count (OPENBLAS_NUM_THREADS and the
-like), and at a large vocabulary a different count changes the BLAS sums in
-the last bits, so a run resumed under another count is not bit-for-bit.
+bit-for-bit those of one pass. Runs are fully determined by (config, seed,
+corpus): shuffling and dropout streams are re-derived per epoch from the seed,
+so resuming from an epoch checkpoint reproduces the uninterrupted trajectory.
+That holds whatever the machine's core count, because importing the package
+before numpy pins BLAS to one thread (see `groundsent`). A process that loads
+numpy first keeps its own BLAS thread count, and at a large vocabulary
+another count changes the BLAS sums in the last bits.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ _SEED_INIT, _SEED_DROPOUT = 11, 23
 
 # Entries per Adam block: the block's six arrays (about 1.5 MB) stay in a core's cache.
 ADAM_BLOCK = 1 << 15
-TABLE_BLOCK = 512  # rows per random draw of the table: about 1 MB at d_e = 300
+TABLE_BLOCK = 512  # rows per random draw of a (V, d) tensor: about 1 MB of the table at d_e = 300
 
 
 @dataclass
@@ -177,7 +177,8 @@ def init_params(config: TrainConfig, vocab_size: int,
     on the forget gate, 0 elsewhere. Every other weight is xavier-uniform, bound
     sqrt(6 / (rows + cols)), and every other bias 0. Word embeddings come from
     `embedding_table` when given (file-loaded), otherwise uniform in [-0.1, 0.1];
-    the PAD row is zeroed.
+    the PAD row is zeroed. The two (V, d) tensors, the drawn table and dec_out_w,
+    are drawn TABLE_BLOCK rows at a time, so no V-row temporary is made.
     """
     if embedding_table is not None and embedding_table.weights.shape != (vocab_size, config.d_e):
         raise ValueError(f"embedding table is {embedding_table.weights.shape}, "
@@ -187,9 +188,10 @@ def init_params(config: TrainConfig, vocab_size: int,
     for name, view in params.values.items():
         if name == "embeddings" and embedding_table is not None:
             view[...] = embedding_table.weights
-        elif name == "embeddings":  # in row blocks: no table-sized temporary, one draw's bits
+        elif name in ("embeddings", "dec_out_w"):  # V rows: drawn in row blocks, one draw's bits
+            bound = 0.1 if name == "embeddings" else np.sqrt(6.0 / sum(view.shape))
             for block in np.split(view, range(TABLE_BLOCK, view.shape[0], TABLE_BLOCK)):
-                block[...] = rng.uniform(-0.1, 0.1, size=block.shape)
+                block[...] = rng.uniform(-bound, bound, size=block.shape)
         elif name.endswith("_input_w"):
             for block in np.split(view, 4, axis=1):
                 block[...] = _xavier(rng, block.shape)

@@ -1,12 +1,17 @@
 """Retrieval, salience, and embedding-export tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from groundsent.autodiff import Matrix
 from groundsent.data import build_vocab, gen_synthetic, numericalize
 from groundsent.evaluation import (
-    ENCODE_CHUNK, embed_lines, encode_reps, ranks, retrieval_eval, salience,
+    ENCODE_CHUNK, RANK_BLOCK, RetrievalReport, embed_lines, encode_reps, ranks, retrieval_eval,
+    salience,
 )
+from groundsent.grounding import cosine_matrix, project
 from groundsent.training import TrainConfig, init_params
 
 TINY = dict(d_cell=4, d_a=3, n_a=2, d_e=4, d_img=5, batch_size=3, epochs=1, seed=0)
@@ -36,24 +41,75 @@ def test_retrieval_rejects_duplicate_ids():
         retrieval_eval(params, samples + samples[:1])
 
 
+def one_hot(hot, width):
+    """Rows e_hot[k]: every dot product of two of them is exactly 0 or 1 under any BLAS kernel."""
+    return np.eye(width)[hot]
+
+
 def test_ranks_break_ties_by_corpus_order():
-    # each row of `sims` holds the same scores, so row k ranks scores[k] among them
-    scores = np.array([0.5, 0.9, 0.5, 0.5])
-    got = ranks(np.tile(scores, (4, 1)))
+    # every query scores the keys 0, 1, 0, 0, so query k ranks key k among those scores
+    got = ranks(one_hot([0, 0, 0, 0], 2), one_hot([1, 0, 1, 1], 2))
     assert got[0] == 2   # one strictly better, no earlier ties
-    assert got[2] == 3   # index 0 ties and comes earlier
+    assert got[2] == 3   # key 0 ties and comes earlier
     assert got[1] == 1
 
 
 def test_ranks_match_sort_oracle_with_ties():
-    # one decimal forces ties; pools past ENCODE_CHUNK span several row blocks,
-    # the last of them partial
-    for n in range(2, 131):
-        sims = np.round(np.random.default_rng(n).uniform(-1, 1, (n, n)), 1)
-        for s in (sims, sims.T):
-            want = [sorted(range(n), key=lambda j: (-s[k, j], j)).index(k) + 1
-                    for k in range(n)]
-            np.testing.assert_array_equal(ranks(s), want, err_msg=f"pool {n}")
+    # three classes force ties; pools past RANK_BLOCK span several row blocks, the last
+    # of them partial; both directions, as retrieval ranks them
+    for n in range(2, 2 * RANK_BLOCK + 3):
+        rng = np.random.default_rng(n)
+        hot_q, hot_k = rng.integers(0, 3, n), rng.integers(0, 3, n)
+        for q, k, sims in ((hot_q, hot_k, hot_q[:, None] == hot_k[None, :]),
+                           (hot_k, hot_q, hot_k[:, None] == hot_q[None, :])):
+            want = [sorted(range(n), key=lambda j: (not sims[r, j], j)).index(r) + 1
+                    for r in range(n)]
+            np.testing.assert_array_equal(ranks(one_hot(q, 3), one_hot(k, 3)), want,
+                                          err_msg=f"pool {n}")
+
+
+def whole_matrix_retrieval(params, samples):
+    """Reference: the reports from the whole (n, n) cosine matrix and its transpose."""
+    samples = sorted(samples, key=lambda s: s.id)
+    predicted = project(params.projection, Matrix(encode_reps(params, samples)))
+    sims = cosine_matrix(predicted, Matrix(np.vstack([s.img for s in samples]))).data
+
+    def report(direction, s):
+        diag = np.diagonal(s)[:, None]
+        n = len(s)
+        earlier = np.tril(np.ones((n, n), dtype=bool), -1)  # [k, j]: j < k
+        rank = 1 + np.count_nonzero((s > diag) | ((s == diag) & earlier), axis=1)
+        return RetrievalReport(direction, float((rank <= 1).mean()), float((rank <= 5).mean()),
+                               float((rank <= 10).mean()), float(np.median(rank)), n)
+
+    return report("sentence_to_image", sims), report("image_to_sentence", sims.T)
+
+
+@pytest.mark.parametrize("n", [2, 17, RANK_BLOCK, RANK_BLOCK + 1, 2 * RANK_BLOCK + 2, 200])
+def test_retrieval_matches_the_whole_matrix_reference(n):
+    _, _, _, params, samples = setup_model(n=n, v_content=32, seed=n)
+    assert retrieval_eval(params, samples) == whole_matrix_retrieval(params, samples)
+
+
+def test_retrieval_same_on_one_and_two_workers(set_workers):
+    _, _, _, params, samples = setup_model(n=150, v_content=32, seed=4)
+    set_workers(1)
+    one = retrieval_eval(params, samples)
+    set_workers(2)
+    assert retrieval_eval(params, samples) == one
+
+
+def test_retrieval_makes_no_pool_squared_array():
+    # an (n, n) float64 similarity matrix alone would be n * n * 8 bytes, 2 MiB here
+    n = 512
+    _, _, _, params, samples = setup_model(n=n, v_content=32, seed=6)
+    tracemalloc.start()
+    try:
+        retrieval_eval(params, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
 
 
 def test_retrieval_all_tied_ranks_by_id():

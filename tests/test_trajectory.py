@@ -12,10 +12,14 @@ rounding noise.
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import groundsent
 from groundsent import checkpoint as ckpt
 
 HERE = Path(__file__).resolve().parent
@@ -52,3 +56,19 @@ def test_training_trajectory_matches_the_reference(tmp_path, set_workers, case):
     params, adam, _, _, _ = ckpt.load(path)
     assert adam.step == len(losses)
     assert_sums_match(ref.tensor_sums(params, adam), want["tensors"])
+
+
+def test_digest_does_not_follow_the_shells_blas_threads():
+    # The script imports groundsent before numpy, so the package's pin decides BLAS's
+    # thread count; at V = 20k a second BLAS thread changes the sums in the last bits.
+    env = {k: v for k, v in os.environ.items() if k not in groundsent.THREAD_VARS}
+    env["PYTHONPATH"] = str(HERE.parent / "src")
+    digests = set()
+    for threads in (None, "1", "2"):
+        run_env = env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, str(HERE / "trajectory_reference.py"), "--digest",
+                              "--case", "largevocab"], env=run_env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.startswith("largevocab: sha256 "), out.stdout
+        digests.add(out.stdout)
+    assert len(digests) == 1, digests

@@ -1,6 +1,6 @@
 """Reference values of two short training runs, kept in trajectory.json beside this script.
 
-    PYTHONPATH=src python tests/trajectory_reference.py [--margin | --digest]
+    PYTHONPATH=src python tests/trajectory_reference.py [--margin | --digest] [--case NAME]
 
 writes tests/trajectory.json; `tests/test_trajectory.py` replays both runs and
 compares. With --margin it writes nothing and prints, for each run, the
@@ -8,9 +8,10 @@ largest relative deviation of a fresh run from the file, measured as the
 test measures it, against the test's tolerance. With --digest it writes
 nothing and prints, for each run, a sha256 over the bytes of the final
 parameter, m and v vectors and of every step's loss parts: two source trees
-train bit-for-bit alike when their digests match on one machine. Run as a
-script, it pins BLAS and OpenMP to one thread through each thread variable
-the shell leaves unset, so the digest does not follow the shell's settings.
+train bit-for-bit alike when their digests match on one machine. --case
+limits --margin and --digest to one run. The script imports groundsent
+before numpy, so the package pins BLAS and OpenMP to one thread and the
+digest does not follow the shell's thread settings.
 
 The runs are 8 cap2all steps at the defaults, and 4 steps at V = 20,000 and
 d_e = 300 with a clip bound small enough to bind, where the vocabulary head
@@ -23,13 +24,6 @@ say why.
 
 from __future__ import annotations
 
-import os
-
-if __name__ == "__main__":  # before numpy loads: BLAS reads its thread count once
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",  # perfbench/env.py's
-                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, "1")
-
 import argparse
 import hashlib
 import json
@@ -37,12 +31,13 @@ import math
 import re
 from pathlib import Path
 
-import numpy as np
-
+# groundsent before numpy, so that the package pins BLAS's thread count before BLAS loads
 from groundsent.data import (
     Vocabulary, gen_synthetic, make_batches, numericalize, synthetic_token_names,
 )
 from groundsent.training import AdamState, TrainConfig, init_params, train_step
+
+import numpy as np
 
 PATH = Path(__file__).resolve().parent / "trajectory.json"
 SEED = 5
@@ -124,15 +119,20 @@ def main() -> None:
                       help="print each run's largest relative deviation from the file")
     mode.add_argument("--digest", action="store_true",
                       help="print a sha256 of each run's final vectors and losses")
+    parser.add_argument("--case", choices=CASES,
+                        help="with --margin or --digest, only this run (default: every run)")
     args = parser.parse_args()
+    cases = [args.case] if args.case else list(CASES)
     if args.margin:
-        for case in CASES:
+        for case in cases:
             print(f"{case}: largest relative deviation {margin(case):.2e} (test tolerance 1e-9)")
         return
     if args.digest:
-        for case in CASES:
+        for case in cases:
             print(f"{case}: sha256 {digest(case)}")
         return
+    if args.case:
+        parser.error("--case needs --margin or --digest: the file holds every run")
     out = {}
     for case in CASES:
         _, _, params, adam, losses = run(case)
