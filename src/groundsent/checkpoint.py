@@ -15,8 +15,9 @@ share, `[[name, rows, cols], ...]` in `training.parameter_shapes` order, and
 one CRC-32 per vector. Each vector is written with one call and read with one
 `readinto`. A file whose length, layout (checked before allocating) or CRCs
 (of the metadata or of a vector) disagree is refused, and so is one whose
-step or epoch is negative, whose vectors hold a non-finite value, or whose
-second moment v holds a negative one (Adam takes its square root).
+vocabulary holds an entry `data.tokenize` could not produce (7, "a b" or
+""), whose step or epoch is negative, whose vectors hold a non-finite value,
+or whose second moment v holds a negative one (Adam takes its square root).
 
 Saving is canonical: writing a just-loaded checkpoint reproduces the
 original bytes. Saving is also crash-safe: the bytes go to a temporary file
@@ -32,7 +33,7 @@ import os
 import struct
 import zlib
 
-from .data import Vocabulary
+from .data import Vocabulary, tokenize
 from .training import AdamState, ModelParameters, TrainConfig, all_finite, parameter_shapes
 
 MAGIC = b"GSCP"
@@ -105,6 +106,9 @@ def load(path) -> tuple[ModelParameters, AdamState, TrainConfig, Vocabulary, int
             meta = json.loads(blob)
             config = TrainConfig(**meta["config"])
             step, epoch, vocab = meta["step"], meta["epoch"], Vocabulary(meta["vocab"])
+            # every entry a token `tokenize` makes, or it could never match one
+            if not all(type(t) is str and tokenize(t) == [t] for t in vocab.content_tokens()):
+                raise corrupt
             layout, crcs = meta["layout"], meta["crc32"]
             # JSON integers only, so 3.7 is no step; Adam's bias correction needs step >= 0
             if not (type(step) is type(epoch) is int and step >= 0 and epoch >= 0):

@@ -7,7 +7,7 @@ import json
 import sys
 
 from . import checkpoint as ckpt
-from .data import Corpus, build_vocab, gen_synthetic, load_embeddings, numericalize
+from .data import Corpus, gen_synthetic, numericalize
 from .evaluation import embed_lines, retrieval_eval, salience
 from .gradcheck import TOLERANCE, run_suite
 from .training import OBJECTIVES, TrainConfig, check_image_width, train
@@ -41,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clip", type=float, default=c.clip)
     p.add_argument("--dropout", type=float, default=c.dropout)
     p.add_argument("--seed", type=int, default=c.seed)
-    p.add_argument("--embeddings", default=None, help="GloVe-format init file")
+    p.add_argument("--embeddings", default=None,
+                   help="GloVe-format file; it replaces the drawn rows of the tokens it covers")
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
     p.add_argument("--d-cell", type=int, default=c.d_cell, help="LSTM cell width")
     p.add_argument("--d-a", type=int, default=c.d_a, help="attention hidden width")
@@ -78,8 +79,6 @@ def _cmd_gen_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    if args.resume is not None and args.embeddings is not None:
-        raise ValueError("--embeddings cannot be used with --resume")
     corpus = Corpus.load(args.corpus)
     config = TrainConfig(
         objective=args.objective, d_cell=args.d_cell, d_a=args.d_a, n_a=args.n_a,
@@ -87,14 +86,8 @@ def _cmd_train(args) -> int:
         beta1=args.beta1, beta2=args.beta2, adam_eps=args.adam_eps, clip=args.clip,
         epochs=args.epochs, seed=args.seed, dropout=args.dropout,
     )
-    table = None
-    if args.embeddings is not None:
-        vocab = build_vocab(corpus)
-        table = load_embeddings(args.embeddings, vocab, config.d_e, seed=config.seed)
-        print(f"embedding coverage: {table.coverage:.3f}")
-    result = train(config, corpus, out_dir=args.out, embedding_table=table,
-                   resume_from=args.resume,
-                   log_fn=lambda m: print(json.dumps(m.to_record())))
+    result = train(config, corpus, out_dir=args.out, embeddings=args.embeddings,
+                   resume_from=args.resume, log_fn=print)
     print(f"checkpoint: {result.checkpoint_path}")
     return 0
 

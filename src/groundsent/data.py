@@ -1,9 +1,11 @@
-"""Vocabulary, corpus ingestion, synthetic data generation, and batching.
+"""Vocabulary, corpus ingestion, pretrained embeddings, synthetic data, and batching.
 
 Corpus files are JSONL: the first line is metadata {"d_img": ...}, each
 following line is one record {"id", "src", "tgt", "img"} with src/tgt as
 raw caption text and img as a list of reals. Synthetic corpora add a
 "salient" field naming the token whose code dominates the image vector.
+A pretrained embedding file is GloVe-style text; its rows replace the drawn
+rows of the tokens it covers, in the parameter table itself.
 """
 
 from __future__ import annotations
@@ -75,26 +77,20 @@ def build_vocab(corpus: "Corpus") -> Vocabulary:
     return Vocabulary(sorted(counts.keys() - RESERVED, key=lambda t: (-counts[t], t)))
 
 
-@dataclass
-class EmbeddingTable:
-    """Initial word-embedding weights (V x d_e) plus file-coverage fraction."""
+def load_embeddings(path, vocab: Vocabulary, table: np.ndarray) -> float:
+    """Write a GloVe-style text file (token then d reals per line) into a (V, d) table.
 
-    weights: np.ndarray
-    coverage: float
-
-
-def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> EmbeddingTable:
-    """Read GloVe-style text (token then dim reals per line) into a table.
-
-    Tokens absent from the file are initialized uniform in [-0.1, 0.1];
-    the PAD row is zeroed. Coverage is the covered fraction of the
-    non-reserved vocabulary. Every line must hold `dim` values; those of a
-    vocabulary token must be finite reals, on one line only. A line whose
-    token holds whitespace (its second field is no number) is skipped:
-    `tokenize` splits on whitespace, so no vocabulary token can match it.
+    `table` is the drawn parameter table, `params.embeddings.data`: the file
+    replaces the rows of the vocabulary tokens it holds and leaves every other
+    row, the reserved ones and the uncovered tokens', as drawn. Returns the
+    coverage, the covered fraction of the non-reserved vocabulary. Every line
+    must hold d values; those of a vocabulary token must be finite reals, on
+    one line only, or ValueError names the line, with the rows before it
+    written. A line whose token holds whitespace (its second field is no
+    number) is skipped: `tokenize` splits on whitespace, so no vocabulary
+    token can match it.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
-    weights = rng.uniform(-0.1, 0.1, size=(vocab.size, dim))
+    dim = table.shape[1]
     content, covered = set(vocab.content_tokens()), set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -121,10 +117,8 @@ def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> Embeddi
                     raise ValueError(f"embedding file line {lineno}: {exc}") from None
                 if not all(map(math.isfinite, row)):
                     raise ValueError(f"embedding file line {lineno}: non-finite value")
-                weights[vocab.index[token]] = row
-    weights[PAD] = 0.0
-    coverage = len(covered) / len(content) if content else 1.0
-    return EmbeddingTable(weights=weights, coverage=coverage)
+                table[vocab.index[token]] = row
+    return len(covered) / len(content) if content else 1.0
 
 
 @dataclass

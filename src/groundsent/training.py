@@ -31,7 +31,7 @@ from . import autodiff as ad
 from . import parallel
 from .autodiff import Matrix, Tape
 from .data import (
-    PAD, Batch, Corpus, EmbeddingTable, Vocabulary, build_vocab, make_batches, numericalize,
+    PAD, Batch, Corpus, Vocabulary, build_vocab, load_embeddings, make_batches, numericalize,
 )
 from .decoder import DecoderParams, caption_nll
 from .encoder import EncoderParams, LstmCellParams, encode_sentence
@@ -168,27 +168,23 @@ def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def init_params(config: TrainConfig, vocab_size: int,
-                embedding_table: EmbeddingTable | None = None) -> ModelParameters:
+def init_params(config: TrainConfig, vocab_size: int) -> ModelParameters:
     """Build the parameters and draw their values from the config seed, into their views.
 
     The draws run in layout order. Each LSTM input weight is four xavier-uniform
     gate blocks and each recurrent weight four orthogonal ones; an LSTM bias is 1
     on the forget gate, 0 elsewhere. Every other weight is xavier-uniform, bound
-    sqrt(6 / (rows + cols)), and every other bias 0. Word embeddings come from
-    `embedding_table` when given (file-loaded), otherwise uniform in [-0.1, 0.1];
-    the PAD row is zeroed. The two (V, d) tensors, the drawn table and dec_out_w,
-    are drawn TABLE_BLOCK rows at a time, so no V-row temporary is made.
+    sqrt(6 / (rows + cols)), and every other bias 0. Word embeddings are uniform
+    in [-0.1, 0.1], with the PAD row zeroed. The two (V, d) tensors, the table
+    and dec_out_w, are drawn TABLE_BLOCK rows at a time, so no V-row temporary
+    is made. A pretrained file (`data.load_embeddings`) is written over this
+    draw afterwards and changes only the rows it covers: the uncovered, UNK,
+    BOS and EOS rows and every other tensor are those of a run without a file.
     """
-    if embedding_table is not None and embedding_table.weights.shape != (vocab_size, config.d_e):
-        raise ValueError(f"embedding table is {embedding_table.weights.shape}, "
-                         f"expected {(vocab_size, config.d_e)}")
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SEED_INIT]))
     params = ModelParameters(config, vocab_size)
     for name, view in params.values.items():
-        if name == "embeddings" and embedding_table is not None:
-            view[...] = embedding_table.weights
-        elif name in ("embeddings", "dec_out_w"):  # V rows: drawn in row blocks, one draw's bits
+        if name in ("embeddings", "dec_out_w"):  # V rows: drawn in row blocks, one draw's bits
             bound = 0.1 if name == "embeddings" else np.sqrt(6.0 / sum(view.shape))
             for block in np.split(view, range(TABLE_BLOCK, view.shape[0], TABLE_BLOCK)):
                 block[...] = rng.uniform(-bound, bound, size=block.shape)
@@ -395,19 +391,25 @@ def check_image_width(corpus: Corpus, config: TrainConfig) -> None:
         raise ValueError(f"corpus d_img={corpus.d_img} does not match config d_img={config.d_img}")
 
 
-def train(config: TrainConfig, corpus: Corpus, out_dir=None,
-          embedding_table: EmbeddingTable | None = None,
+def train(config: TrainConfig, corpus: Corpus, out_dir=None, embeddings=None,
           resume_from=None, log_fn=None) -> TrainResult:
     """Run the epoch loop over a corpus.
 
     Writes (when out_dir is given) a checkpoint after every epoch plus a
-    JSONL metrics log with one record per epoch. `resume_from` restores
-    parameters, optimizer state, and the epoch counter from a checkpoint
-    and continues up to config.epochs.
+    JSONL metrics log with one record per epoch. `embeddings` is the path of a
+    GloVe-style file, read into the drawn table (see `init_params`) before
+    out_dir is made, so a bad file writes nothing. `resume_from` restores
+    parameters, optimizer state, and the epoch counter from a checkpoint and
+    continues up to config.epochs; it cannot be combined with `embeddings`.
+    `log_fn`, when given, receives each line the run reports: the file's
+    coverage, then each epoch's JSON record, the line the metrics log holds.
     """
     from . import checkpoint as ckpt
     from pathlib import Path
 
+    if resume_from is not None and embeddings is not None:
+        raise ValueError("--embeddings cannot be used with --resume")
+    log = log_fn or (lambda line: None)
     check_image_width(corpus, config)
     if len(corpus) < 2:
         raise ValueError(f"corpus has {len(corpus)} sample(s); training needs at least 2 "
@@ -428,7 +430,10 @@ def train(config: TrainConfig, corpus: Corpus, out_dir=None,
                              f"{start_epoch} to resume")
         vocab = loaded_vocab
     else:
-        params = init_params(config, vocab.size, embedding_table)
+        params = init_params(config, vocab.size)
+        if embeddings is not None:
+            coverage = load_embeddings(embeddings, vocab, params.embeddings.data)
+            log(f"embedding coverage: {coverage:.3f}")
         adam = AdamState.for_params(params)
         start_epoch = 0
 
@@ -459,11 +464,11 @@ def train(config: TrainConfig, corpus: Corpus, out_dir=None,
             wall_ms=(time.monotonic() - started) * 1000.0,
         )
         history.append(record)
-        if log_fn is not None:
-            log_fn(record)
+        line = json.dumps(record.to_record())
+        log(line)
         if out_path is not None:
             with open(metrics_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record.to_record()) + "\n")
+                fh.write(line + "\n")
             checkpoint_path = str(out_path / "checkpoint.bin")
             ckpt.save(checkpoint_path, params, adam, config, vocab, epoch + 1)
 

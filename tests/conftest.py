@@ -1,5 +1,7 @@
 """Fixtures shared by several test modules."""
 
+import groundsent  # before numpy: the package pins BLAS to one thread, as the CLI runs it
+
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np

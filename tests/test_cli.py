@@ -13,6 +13,7 @@ import pytest
 from groundsent import checkpoint as ckpt
 from groundsent import cli
 from groundsent.cli import build_parser, main
+from groundsent.data import Corpus, build_vocab
 from groundsent.evaluation import salience
 from groundsent.training import TrainConfig
 
@@ -304,25 +305,34 @@ def test_checkpoint_of_other_format_fails_cleanly(workspace, tmp_path, capsys, o
     assert _salience_errors(bad, capsys) == [f"error: {bad}: {message}"]
 
 
+def _with_metadata(workspace, tmp_path, edit):
+    """The workspace checkpoint with edit(meta) applied to its metadata, the config hash and
+    the CRC recomputed; the layout and the vectors stay. The hash is taken from the dict,
+    which TrainConfig may refuse."""
+    data = workspace["checkpoint"].read_bytes()
+    meta_len = int.from_bytes(data[8:16], "little")
+    meta = json.loads(data[20 : 20 + meta_len])
+    edit(meta)
+    meta["config_hash"] = hashlib.sha256(ckpt._canonical_json(meta["config"])).hexdigest()
+    blob = ckpt._canonical_json(meta)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(ckpt._HEADER.pack(ckpt.MAGIC, ckpt.VERSION, len(blob), zlib.crc32(blob))
+                    + blob + data[20 + meta_len :])
+    return bad
+
+
 # larger tensors than the layout, a float where an integer belongs, or a bool for a rate
 @pytest.mark.parametrize("key, value", [("d_cell", 400), ("d_cell", 6.0), ("n_a", 2.0),
                                         ("batch_size", 4.0), ("epochs", 1.5), ("seed", 0.5),
                                         ("step", 3.7), ("epoch", 1.9), ("lr", True)])
 def test_checkpoint_with_crafted_metadata_is_refused_before_allocating(
         workspace, tmp_path, capsys, key, value):
-    # One metadata value is edited, with the config hash and the CRC recomputed; the layout
-    # and the vectors stay. The hash is taken from the dict, which TrainConfig would refuse.
-    data = workspace["checkpoint"].read_bytes()
-    meta_len = int.from_bytes(data[8:16], "little")
-    meta = json.loads(data[20 : 20 + meta_len])
-    section = meta["config"] if key in meta["config"] else meta
-    assert type(section[key]) in (int, float)  # the key is there, and holds a number
-    section[key] = value
-    meta["config_hash"] = hashlib.sha256(ckpt._canonical_json(meta["config"])).hexdigest()
-    blob = ckpt._canonical_json(meta)
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(ckpt._HEADER.pack(ckpt.MAGIC, ckpt.VERSION, len(blob), zlib.crc32(blob))
-                    + blob + data[20 + meta_len :])
+    def edit(meta):
+        section = meta["config"] if key in meta["config"] else meta
+        assert type(section[key]) in (int, float)  # the key is there, and holds a number
+        section[key] = value
+
+    bad = _with_metadata(workspace, tmp_path, edit)
     assert _salience_errors(bad, capsys) == [f"error: {bad}: truncated or corrupt checkpoint"]
     tracemalloc.start()
     try:
@@ -332,6 +342,17 @@ def test_checkpoint_with_crafted_metadata_is_refused_before_allocating(
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# entries `tokenize` never makes, so no token could ever match them
+@pytest.mark.parametrize("entry", [7, "a b", ""], ids=["int", "space", "empty"])
+def test_checkpoint_with_crafted_vocabulary_entry_is_refused(workspace, tmp_path, capsys,
+                                                             entry):
+    def edit(meta):
+        meta["vocab"][0] = entry  # the vocabulary keeps its size, so the layout still fits
+
+    bad = _with_metadata(workspace, tmp_path, edit)
+    assert _salience_errors(bad, capsys) == [f"error: {bad}: truncated or corrupt checkpoint"]
 
 
 def _assert_fails_with_one_error(argv, capsys, checkpoint, message):
@@ -467,6 +488,20 @@ def test_resume_from_negative_step_or_epoch_fails_before_writing(workspace, tmp_
     _assert_fails_with_one_error(_reads_of(workspace, bad, run)["resume"], capsys, bad,
                                  f"{bad}: truncated or corrupt checkpoint")
     assert not run.exists()
+
+
+def test_train_with_embeddings_logs_coverage_first_then_the_metrics_lines(workspace, tmp_path,
+                                                                        capsys):
+    emb, run = tmp_path / "emb.txt", tmp_path / "run"
+    row = " ".join(["0.5"] * 6)
+    emb.write_text(f"obj01 {row}\nvis00 {row}\n")
+    content = build_vocab(Corpus.load(workspace["corpus"])).content_tokens()
+    assert main(["train", "--corpus", str(workspace["corpus"]), "--out", str(run),
+                 "--epochs", "2", "--batch", "4", *SMALL_DIMS, "--embeddings", str(emb)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"embedding coverage: {2 / len(content):.3f}"
+    assert lines[1:3] == (run / "metrics.jsonl").read_text().splitlines()
+    assert lines[3:] == [f"checkpoint: {run / 'checkpoint.bin'}"]
 
 
 def test_train_with_repeated_embedding_token_fails_before_writing(workspace, tmp_path, capsys):

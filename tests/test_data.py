@@ -88,33 +88,48 @@ def test_encode_wraps_with_bos_eos():
 # embeddings
 
 
+def drawn_table(vocab, dim, seed=0):
+    """A (V, dim) table as init_params draws one, uniform in [-0.1, 0.1] with PAD zeroed,
+    and a copy of it."""
+    table = np.random.default_rng(seed).uniform(-0.1, 0.1, size=(vocab.size, dim))
+    table[PAD] = 0.0
+    return table, table.copy()
+
+
 def test_load_embeddings_full_coverage(tmp_path):
     vocab = build_vocab(corpus_of(["cat bowl"]))
     path = tmp_path / "emb.txt"
     path.write_text("cat 1.0 2.0 3.0\nbowl 4.0 5.0 6.0\n")
-    table = load_embeddings(path, vocab, dim=3)
-    assert table.coverage == 1.0
-    np.testing.assert_array_equal(table.weights[vocab.id_of("cat")], [1.0, 2.0, 3.0])
+    table, drawn = drawn_table(vocab, 3)
+    assert load_embeddings(path, vocab, table) == 1.0
+    np.testing.assert_array_equal(table[vocab.id_of("cat")], [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(table[vocab.id_of("bowl")], [4.0, 5.0, 6.0])
+    np.testing.assert_array_equal(table[:4], drawn[:4])  # the reserved rows stay as drawn
 
 
 def test_load_embeddings_empty_file(tmp_path):
     vocab = build_vocab(corpus_of(["cat bowl"]))
     path = tmp_path / "emb.txt"
     path.write_text("")
-    table = load_embeddings(path, vocab, dim=3)
-    assert table.coverage == 0.0
-    np.testing.assert_array_equal(table.weights[PAD], np.zeros(3))
-    assert np.abs(table.weights[4:]).max() <= 0.1
+    table, drawn = drawn_table(vocab, 3)
+    assert load_embeddings(path, vocab, table) == 0.0
+    np.testing.assert_array_equal(table, drawn)  # the PAD row still zero
 
 
 def test_load_embeddings_repeated_vocabulary_token_names_line(tmp_path):
     vocab = build_vocab(corpus_of(["cat bowl"]))
     path = tmp_path / "emb.txt"
     path.write_text("dog 0 0 0\ncat 1 2 3\ndog 0 0 0\nbowl 4 5 6\ncat 7 8 9\n")
+    table, _ = drawn_table(vocab, 3)
     with pytest.raises(ValueError, match="^embedding file line 5: duplicate token 'cat'$"):
-        load_embeddings(path, vocab, dim=3)
+        load_embeddings(path, vocab, table)
     path.write_text("dog 0 0 0\ncat 1 2 3\ndog 0 0 0\n")  # repeats of other tokens are fine
-    assert load_embeddings(path, vocab, dim=3).coverage == 0.5
+    table, drawn = drawn_table(vocab, 3)
+    assert load_embeddings(path, vocab, table) == 0.5
+    cat = vocab.id_of("cat")
+    np.testing.assert_array_equal(table[cat], [1.0, 2.0, 3.0])
+    table[cat] = drawn[cat]
+    np.testing.assert_array_equal(table, drawn)  # bowl, uncovered, and the reserved rows
 
 
 @pytest.mark.parametrize("values, message", [
@@ -127,8 +142,10 @@ def test_load_embeddings_bad_row_names_line(tmp_path, values, message):
     vocab = build_vocab(corpus_of(["cat bowl"]))
     path = tmp_path / "emb.txt"
     path.write_text(f"cat 1.0 2.0 3.0\nbowl {values}\n")
+    table, drawn = drawn_table(vocab, 3)
     with pytest.raises(ValueError, match=f"^embedding file line 2: {message}$"):
-        load_embeddings(path, vocab, dim=3)
+        load_embeddings(path, vocab, table)
+    np.testing.assert_array_equal(table[vocab.id_of("bowl")], drawn[vocab.id_of("bowl")])
 
 
 def test_load_embeddings_skips_tokens_holding_whitespace(tmp_path):
@@ -138,10 +155,11 @@ def test_load_embeddings_skips_tokens_holding_whitespace(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("cat 1.0 2.0\n. . . 0.3 0.4\ncat\u00a0bowl 0.5 0.6\nbowl 3.0 4.0\n",
                     encoding="utf-8")
-    table = load_embeddings(path, vocab, dim=2)
-    assert table.coverage == 1.0
-    np.testing.assert_array_equal(table.weights[vocab.id_of("cat")], [1.0, 2.0])
-    np.testing.assert_array_equal(table.weights[vocab.id_of("bowl")], [3.0, 4.0])
+    table, drawn = drawn_table(vocab, 2)
+    assert load_embeddings(path, vocab, table) == 1.0
+    np.testing.assert_array_equal(table[vocab.id_of("cat")], [1.0, 2.0])
+    np.testing.assert_array_equal(table[vocab.id_of("bowl")], [3.0, 4.0])
+    np.testing.assert_array_equal(table[:4], drawn[:4])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from groundsent import checkpoint as ckpt
 from groundsent import parallel, training
 from groundsent.autodiff import Matrix, Tape
 from groundsent.data import (
-    PAD, build_vocab, gen_synthetic, load_embeddings, make_batches, numericalize,
+    PAD, Vocabulary, build_vocab, gen_synthetic, load_embeddings, make_batches, numericalize,
 )
 from groundsent.training import (
     AdamState, FlatTensors, TrainConfig, adam_step, clip_gradients, composite_loss, init_params,
@@ -93,7 +93,7 @@ LAYOUT_NAMES = [
 ]
 
 
-def stacked_init_vector(config, v, table=None):
+def stacked_init_vector(config, v):
     """Reference for init_params: each tensor drawn whole (a cell's four gate blocks
     hstacked), in layout order, then concatenated into one vector."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, training._SEED_INIT]))
@@ -114,11 +114,8 @@ def stacked_init_vector(config, v, table=None):
         bias[0, d : 2 * d] = 1.0
         return [input_w, recur_w, bias]
 
-    if table is None:
-        emb = rng.uniform(-0.1, 0.1, size=(v, d_e))
-        emb[PAD] = 0.0
-    else:
-        emb = table.weights
+    emb = rng.uniform(-0.1, 0.1, size=(v, d_e))
+    emb[PAD] = 0.0
     tensors = [emb, *cell(d_e), *cell(d_e), xavier(d, config.d_a, (config.d_a, d)),
                xavier(config.d_a, config.n_a, (config.n_a, config.d_a)),
                xavier(2 * d, d, (d, 2 * d)), xavier(2 * d, d, (d, 2 * d)), *cell(d_e),
@@ -135,16 +132,20 @@ def test_init_params_matches_the_stacked_construction(tmp_path, case):
                             "table": {"seed": 2}}[case])
     corpus = gen_synthetic(64, 64, config.d_img, seed=3)
     vocab = build_vocab(corpus)
-    table = None
-    if case == "table":
+    params = init_params(config, vocab.size)
+    want = stacked_init_vector(config, vocab.size)
+    if case == "table":  # a file replaces the rows it covers, and only those
+        covered = vocab.content_tokens()[::2]
+        rows = np.random.default_rng(9).standard_normal((len(covered), config.d_e))
         path = tmp_path / "emb.txt"
-        rng = np.random.default_rng(9)
-        path.write_text("".join(f"{t} " + " ".join(map(str, rng.standard_normal(config.d_e)))
-                                + "\n" for t in vocab.content_tokens()[::2]))
-        table = load_embeddings(path, vocab, config.d_e, seed=1)
-    params = init_params(config, vocab.size, table)
+        path.write_text("".join(f"{t} " + " ".join(map(repr, row)) + "\n"
+                                for t, row in zip(covered, rows.tolist())))
+        coverage = load_embeddings(path, vocab, params.embeddings.data)
+        assert coverage == len(covered) / len(vocab.content_tokens())
+        want[: vocab.size * config.d_e].reshape(vocab.size, -1)[
+            [vocab.id_of(t) for t in covered]] = rows
     assert list(params.named()) == list(params.shapes) == LAYOUT_NAMES
-    assert np.array_equal(params.values.vector, stacked_init_vector(config, vocab.size, table))
+    assert np.array_equal(params.values.vector, want)
 
 
 def test_init_params_draws_the_table_without_a_table_sized_temporary():
@@ -157,6 +158,22 @@ def test_init_params_draws_the_table_without_a_table_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak < params.values.vector.nbytes + (3 << 20)
+
+
+def test_embedding_file_loads_without_a_table_sized_temporary(tmp_path):
+    # The file's rows go straight into the drawn table: below 4 MiB past the vector, where a
+    # second (V, d_e) table would be 46 MiB.
+    vocab = Vocabulary([f"w{i}" for i in range(19_996)])
+    path = tmp_path / "emb.txt"
+    path.write_text("".join(f"w{i} " + " ".join(["0.5"] * 300) + "\n" for i in range(3)))
+    tracemalloc.start()
+    try:
+        params = init_params(TrainConfig(d_e=300), vocab.size)
+        assert load_embeddings(path, vocab, params.embeddings.data) == 3 / 19_996
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < params.values.vector.nbytes + (4 << 20)
 
 
 @pytest.mark.parametrize("block", [1, 7, 512])
@@ -843,3 +860,12 @@ def test_resume_rejects_mismatched_config(tmp_path):
     other = TrainConfig(objective="cap2img", **{**TINY, "epochs": 1, "lr": 5e-4})
     with pytest.raises(ValueError, match="config"):
         train(other, corpus, resume_from=result.checkpoint_path)
+
+
+def test_resume_refuses_an_embedding_file_before_reading_either(tmp_path):
+    config = TrainConfig(**TINY)
+    corpus = gen_synthetic(6, 8, config.d_img, seed=7)
+    with pytest.raises(ValueError, match="^--embeddings cannot be used with --resume$"):
+        train(config, corpus, out_dir=tmp_path / "run", embeddings=tmp_path / "never-read.txt",
+              resume_from=tmp_path / "never-read.bin")
+    assert not (tmp_path / "run").exists()

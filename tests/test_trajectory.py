@@ -58,17 +58,28 @@ def test_training_trajectory_matches_the_reference(tmp_path, set_workers, case):
     assert_sums_match(ref.tensor_sums(params, adam), want["tensors"])
 
 
+def _script_digest(threads: str | None = None) -> str:
+    """The script's largevocab digest line, run with no thread variable set but
+    OPENBLAS_NUM_THREADS=threads, when given."""
+    env = {k: v for k, v in os.environ.items() if k not in groundsent.THREAD_VARS}
+    env["PYTHONPATH"] = str(HERE.parent / "src")
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    out = subprocess.run([sys.executable, str(HERE / "trajectory_reference.py"), "--digest",
+                          "--case", "largevocab"], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.startswith("largevocab: sha256 "), out.stdout
+    return out.stdout
+
+
+def test_in_process_run_is_bit_for_bit_the_scripts():
+    # conftest imports groundsent before numpy, so the tests run under the package's BLAS
+    # pin too: a second BLAS thread would change the V = 20k sums in the last bits
+    assert _script_digest() == f"largevocab: sha256 {ref.digest('largevocab')}\n"
+
+
 def test_digest_does_not_follow_the_shells_blas_threads():
     # The script imports groundsent before numpy, so the package's pin decides BLAS's
     # thread count; at V = 20k a second BLAS thread changes the sums in the last bits.
-    env = {k: v for k, v in os.environ.items() if k not in groundsent.THREAD_VARS}
-    env["PYTHONPATH"] = str(HERE.parent / "src")
-    digests = set()
-    for threads in (None, "1", "2"):
-        run_env = env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
-        out = subprocess.run([sys.executable, str(HERE / "trajectory_reference.py"), "--digest",
-                              "--case", "largevocab"], env=run_env, capture_output=True,
-                             text=True, timeout=120, check=True)
-        assert out.stdout.startswith("largevocab: sha256 "), out.stdout
-        digests.add(out.stdout)
+    digests = {_script_digest(threads) for threads in (None, "1", "2")}
     assert len(digests) == 1, digests
