@@ -8,9 +8,9 @@ is step t of lane b. One `encoder.run_lanes` call projects the step inputs
 and runs the recurrence from the projected initial state; the states reach
 the vocabulary through one fused logits-and-NLL op (`cross_entropy_rows`).
 Steps whose target is PAD are dropped before the head, so padding adds
-nothing to the loss and gets no gradient. The head runs the kept rows in
-cache-sized chunks, one chunk per core at a time (`parallel.run`), and
-forms its gradients in the forward, so no (rows, V) array is made.
+nothing to the loss and gets no gradient. The head forms its gradients in the
+forward, over tiles of the vocabulary that each worker owns a group of
+(`parallel.run`), so neither a (rows, V) array nor a per-worker (V, d) one is made.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from .autodiff import Matrix, ShapeError
 from .data import PAD
 from .encoder import LstmCellParams, run_lanes
 
-# Bytes of each of the vocabulary head's (rows, V) chunk buffers: 52 rows at V = 20,000, few
-# enough to stay in cache, many enough that the per-chunk (V, d) out_w gradient update
-# is paid a few times a step (2 and 4 MB measured slower); small vocabularies run as one chunk.
-HEAD_CHUNK_BYTES = 1 << 23
+# Bytes of a head tile's (rows, words) logits: 1,236 words at 212 kept rows, 17 tiles of V =
+# 20,000, where one call peaked at 10.3 and 10.7 MiB traced on 1 and 2 workers; 1 and 4 MB
+# tiles timed alike, 512 KB and less slower on 2 workers.
+HEAD_TILE_BYTES = 1 << 21
 
 
 @dataclass
@@ -55,56 +55,71 @@ def cross_entropy_rows(states: Matrix, out_w: Matrix, out_b: Matrix, targets: np
                        keep: np.ndarray) -> Matrix:
     """Sum over kept rows of -log softmax(states @ out_w.T + out_b)[row, target], as 1x1.
 
-    The vocabulary head as one op, over the kept rows only, in chunks of
-    HEAD_CHUNK_BYTES // (8 V) rows. The chunks run in rounds of one per core,
-    one `parallel.run` call a round, each chunk through its round slot's
-    reused (chunk, V) buffer. A chunk computes its logits, shifts them by the
-    row max, exponentiates them in place and sums its rows' losses. It then
-    turns the buffer into softmax - onehot, writes its rows of the states
-    gradient and returns its parts of the unscaled out_w and out_b gradients;
-    the loss is linear in out.grad, so backward only scales and accumulates
-    them (with no tape, nothing does). The losses and parts are added in chunk
-    order, as one thread would. Dropped rows get an exactly zero gradient.
+    The vocabulary head as one op over the kept rows, in tiles of
+    HEAD_TILE_BYTES // (8 rows) words, each worker owning a contiguous group
+    of them (`parallel.run`). Pass 1 takes a tile's target logits, row max and
+    row sums of exp(logits - max), joined in tile order into the log
+    normalizer lse (Milakov & Gimelshein, arXiv:1805.02867). Pass 2 recomputes
+    the logits as [h, 1, -lse] @ [w, b, 1].T, so their exp is the softmax, and
+    writes the tile's rows of the unscaled out_w and out_b gradients and its
+    part of the states gradient, added in tile order. The loss is linear in
+    out.grad, so backward only scales and accumulates them. Tiles depend on V
+    and the row count, not the worker count. Dropped rows get an exactly zero
+    gradient; a kept target outside [0, V) raises ShapeError.
     """
     kept = np.flatnonzero(keep)
-    h, t, w = states.data[kept], targets[kept], out_w.data
-    chunk = max(1, HEAD_CHUNK_BYTES // (8 * w.shape[0]))
-    starts = range(0, kept.size, chunk)
-    width = max(1, min(parallel.WORKERS, len(starts)))  # chunks in flight, one buffer slot each
-    bufs = np.empty((width, min(chunk, kept.size), w.shape[0]))
-    g_h, g_w, g_b = np.empty_like(h), np.zeros_like(w), np.zeros_like(out_b.data)
-    parts_w = np.empty((width, *w.shape))
+    h, t, w, b = states.data[kept], targets[kept], out_w.data, out_b.data[0]
+    (v, d), rows = w.shape, kept.size
+    bad = np.flatnonzero((t < 0) | (t >= v))
+    if bad.size:
+        raise ShapeError(f"cross_entropy_rows: row {kept[bad[0]]}'s target {t[bad[0]]} "
+                         f"is not in [0, {v})")
+    width = max(1, min(v, HEAD_TILE_BYTES // (8 * max(1, rows))))
+    starts = range(0, v, width)
+    n = min(parallel.WORKERS, len(starts))
+    groups = [starts[len(starts) * i // n : len(starts) * (i + 1) // n] for i in range(n)]
+    tile_of, target_z = t // width, np.empty(rows)
+    peaks, sums = np.empty((2, len(starts), rows))
+    ha = np.hstack([h, np.ones((rows, 1)), np.zeros((rows, 1))])  # [h, 1, -lse] in pass 2
 
-    def head(start: int):
-        slot, part = start // chunk % width, slice(start, start + chunk)
-        hc, tc = h[part], t[part]
-        z = np.matmul(hc, w.T, out=bufs[slot, : hc.shape[0]])
-        z += out_b.data
-        z -= z.max(axis=1, keepdims=True)
-        rows = np.arange(z.shape[0])
-        target_z = z[rows, tc]
-        sums = np.exp(z, out=z).sum(axis=1, keepdims=True)
-        loss = float((np.log(sums[:, 0]) - target_z).sum())
-        z *= 1.0 / sums
-        z[rows, tc] -= 1.0
-        np.matmul(z, w, out=g_h[part])
-        return loss, np.matmul(z.T, hc, out=parts_w[slot]), z.sum(axis=0)
+    def tiles(group):  # (tile index, its words, its target rows, its logits) in tile order
+        z_buf, wa = np.empty(rows * width), np.ones((width, d + 2))
+        for a in group:
+            k, cols, wt = a // width, slice(a, a + width), wa[: min(v, a + width) - a]
+            wt[:, :d], wt[:, d] = w[cols], b[cols]
+            z = np.matmul(ha, wt.T, out=z_buf[: rows * len(wt)].reshape(rows, len(wt)))
+            yield k, cols, np.flatnonzero(tile_of == k), z
 
-    total = 0.0
-    for first in range(0, len(starts), width):  # a round's parts are added before the next
-        for loss, part_w, part_b in parallel.run(head, starts[first : first + width]):
-            total += loss
-            g_w += part_w
-            g_b += part_b
-    out = Matrix([[total]])
+    def normalizers(group):
+        for k, cols, hit, z in tiles(group):
+            target_z[hit] = z[hit, t[hit] - cols.start]
+            peaks[k] = z.max(axis=1)
+            z -= peaks[k][:, None]
+            sums[k] = np.exp(z, out=z).sum(axis=1)
+
+    def gradients(group):
+        for k, cols, hit, z in tiles(group):
+            np.exp(z, out=z)
+            z[hit, t[hit] - cols.start] -= 1.0
+            np.matmul(z.T, ha[:, : d + 1], out=g_wb[cols])
+            np.matmul(z, w[cols], out=parts[k])
+
+    parallel.run(normalizers, groups)
+    top = peaks.max(axis=0)
+    lse = top + np.log((sums * np.exp(peaks - top)).sum(axis=0))
+    out = Matrix([[float((lse - target_z).sum())]])
+    ha[:, d + 1] = -lse
+    g_wb, parts = np.empty((v, d + 1)), np.empty((len(starts), rows, d))
+    parallel.run(gradients, groups)
 
     def backward():
         s = out.grad[0, 0]
         g_states = np.zeros_like(states.data)
-        g_states[kept] = g_h * s
+        g_states[kept] = parts.sum(axis=0) * s  # the parts in tile order
         states.accumulate(g_states)
-        out_w.accumulate(np.multiply(g_w, s, out=g_w))
-        out_b.accumulate(np.multiply(g_b, s, out=g_b))
+        np.multiply(g_wb, s, out=g_wb)
+        out_w.accumulate(g_wb[:, :d])
+        out_b.accumulate(g_wb[None, :, d])
 
     ad.record("cross_entropy_rows", (states, out_w, out_b), out, backward)
     return out

@@ -2,14 +2,19 @@
 
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zlib
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import groundsent
 from groundsent import checkpoint as ckpt
 from groundsent import cli
 from groundsent.cli import build_parser, main
@@ -514,3 +519,21 @@ def test_train_with_repeated_embedding_token_fails_before_writing(workspace, tmp
     assert captured.err.strip().splitlines() == [
         "error: embedding file line 3: duplicate token 'obj01'"]
     assert captured.out == "" and not run.exists()
+
+
+def test_large_vocabulary_checkpoint_does_not_follow_the_thread_variables(tmp_path):
+    # V = 1,343 at d_e = 300, about 200 kept rows a batch: the head runs in two tiles
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["gen-synth", "--vocab", "19996", "--n", "256", "--seed", "5",
+                 "--out", str(corpus)]) == 0
+    unset = {k: v for k, v in os.environ.items() if k not in groundsent.THREAD_VARS}
+    unset["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    digests = set()
+    for threads in (None, "1", "2"):
+        env = {**unset, **dict.fromkeys(groundsent.THREAD_VARS, threads)} if threads else unset
+        run = tmp_path / f"run-{threads}"
+        subprocess.run([sys.executable, "-m", "groundsent", "train", "--corpus", str(corpus),
+                        "--out", str(run), "--epochs", "1", "--d-e", "300", "--seed", "5"],
+                       env=env, capture_output=True, timeout=120, check=True)
+        digests.add(hashlib.sha256((run / "checkpoint.bin").read_bytes()).hexdigest())
+    assert len(digests) == 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from groundsent import decoder
-from groundsent.autodiff import Matrix, Tape, grad_check
+from groundsent.autodiff import Matrix, ShapeError, Tape, grad_check
 from groundsent.data import BOS, EOS, PAD, pad_sequences
 from groundsent.decoder import DecoderParams, caption_nll, cross_entropy_rows, init_state
 from groundsent.encoder import LstmCellParams
@@ -181,34 +181,81 @@ def test_head_appended_dropped_rows_change_nothing():
     np.testing.assert_array_equal(padded[3], g_b)
 
 
-def test_head_with_no_kept_rows_is_zero_without_warnings():
+def test_head_with_no_kept_rows_is_zero_without_warnings(monkeypatch):
     rng = np.random.default_rng(15)
     states, out_w, out_b = (rng.standard_normal(s) for s in ((3, 4), (5, 4), (1, 5)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        loss, g_s, g_w, g_b = head_with_grads(states, out_w, out_b, np.array([1, 2, 3]),
-                                              np.zeros(3, bool))
-    assert loss == 0.0
-    for g in (g_s, g_w, g_b):
-        np.testing.assert_array_equal(g, np.zeros_like(g))
+    for tile_bytes in (decoder.HEAD_TILE_BYTES, 16):  # one tile, then 3 tiles of 2 words
+        monkeypatch.setattr(decoder, "HEAD_TILE_BYTES", tile_bytes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, g_s, g_w, g_b = head_with_grads(states, out_w, out_b, np.array([1, 2, 3]),
+                                                  np.zeros(3, bool))
+        assert loss == 0.0
+        for g in (g_s, g_w, g_b):
+            np.testing.assert_array_equal(g, np.zeros_like(g))
 
 
-def test_head_across_chunk_boundaries_matches_one_chunk(monkeypatch):
+@pytest.mark.parametrize("target", [-1, 6])
+def test_head_refuses_a_kept_target_outside_the_vocabulary(target):
     rng = np.random.default_rng(16)
-    v = 6
-    states, out_w, out_b = (rng.standard_normal(s) for s in ((11, 4), (v, 4), (1, v)))
-    targets = rng.integers(0, v, 11)
-    keep = np.array([1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 1], bool)  # 7 kept rows, dropped between
+    states, out_w, out_b = (Matrix(rng.standard_normal(s)) for s in ((4, 3), (6, 3), (1, 6)))
+    targets = np.array([2, 7, target, -5])  # the second and last rows are dropped
+    with pytest.raises(ShapeError, match=rf"row 2's target {target} is not in \[0, 6\)"):
+        cross_entropy_rows(states, out_w, out_b, targets, np.array([1, 0, 1, 0], bool))
+
+
+def tile_inputs(rows, v, seed):
+    """States, out_w, out_b, targets and a keep mask with dropped rows between kept ones."""
+    rng = np.random.default_rng(seed)
+    states, out_w, out_b = (rng.standard_normal(s) for s in ((rows, 4), (v, 4), (1, v)))
+    return states, out_w, out_b, rng.integers(0, v, rows), np.arange(rows) % 3 != 1
+
+
+def assert_heads_match(got, want):
+    assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0)
+    for g_got, g_want in zip(got[1:], want[1:]):
+        np.testing.assert_allclose(g_got, g_want, rtol=1e-12, atol=1e-15)
+
+
+def test_head_in_one_word_tiles_matches_one_tile(monkeypatch):
+    states, out_w, out_b, targets, keep = tile_inputs(11, 9, seed=17)
     whole = head_with_grads(states, out_w, out_b, targets, keep)
-    monkeypatch.setattr(decoder, "HEAD_CHUNK_BYTES", 8 * v * 3 - 1)  # 2 rows per chunk
-    chunked = head_with_grads(states, out_w, out_b, targets, keep)
-    assert chunked[0] == pytest.approx(whole[0], rel=1e-12, abs=0)
-    for g_chunked, g_whole in zip(chunked[1:], whole[1:]):
-        np.testing.assert_allclose(g_chunked, g_whole, rtol=1e-12, atol=1e-15)
-    np.testing.assert_array_equal(chunked[1][~keep], np.zeros((4, 4)))
+    monkeypatch.setattr(decoder, "HEAD_TILE_BYTES", 1)  # 9 tiles of one word
+    assert_heads_match(head_with_grads(states, out_w, out_b, targets, keep), whole)
+
+
+def test_head_with_a_short_last_tile_matches_one_tile(monkeypatch):
+    states, out_w, out_b, targets, keep = tile_inputs(11, 23, seed=18)  # 7 kept rows
+    whole = head_with_grads(states, out_w, out_b, targets, keep)
+    monkeypatch.setattr(decoder, "HEAD_TILE_BYTES", 8 * 7 * 5)  # tiles of 5, 5, 5, 5 and 3 words
+    tiled = head_with_grads(states, out_w, out_b, targets, keep)
+    assert_heads_match(tiled, whole)
+    np.testing.assert_array_equal(tiled[1][~keep], np.zeros((4, 4)))
+
+
+def test_head_grad_check_across_tile_boundaries(monkeypatch):
+    monkeypatch.setattr(decoder, "HEAD_TILE_BYTES", 8 * 5 * 2)  # 5 kept rows: tiles of 2 words
+    states, out_w, out_b, targets, keep = tile_inputs(7, 7, seed=19)
     inputs = [Matrix(m) for m in (states, out_w, out_b)]
     for k, theta in enumerate(inputs):
         def f(t, k=k):
             args = inputs[:k] + [t] + inputs[k + 1:]
             return cross_entropy_rows(*args, targets, keep)
         assert grad_check(f, theta) < 1e-4
+
+
+def test_head_with_extreme_logits_in_one_tile_matches_log_sum_exp(monkeypatch):
+    monkeypatch.setattr(decoder, "HEAD_TILE_BYTES", 8 * 6 * 4)  # 6 kept rows: tiles of 4 words
+    states, out_w, out_b, targets, keep = tile_inputs(9, 16, seed=20)
+    out_b[0, 4:8] = [1e3, -1e3, 1e3 - 2.0, -1e3]  # the second tile's logits are near +-1e3
+    targets[:3] = [5, 0, 4]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, g_s, g_w, g_b = head_with_grads(states, out_w, out_b, targets, keep)
+    z = states[keep] @ out_w.T + out_b
+    top = z.max(axis=1, keepdims=True)
+    lse = top[:, 0] + np.log(np.exp(z - top).sum(axis=1))
+    assert np.isfinite(loss)
+    assert loss == pytest.approx((lse - z[np.arange(6), targets[keep]]).sum(), rel=1e-12, abs=0)
+    for g in (g_s, g_w, g_b):
+        assert np.isfinite(g).all()

@@ -8,6 +8,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,7 +116,7 @@ def head(set_workers, workers, record):
 
 @pytest.mark.parametrize("record", [False, True])
 def test_head_on_two_workers_is_bit_for_bit_one_workers(set_workers, monkeypatch, record):
-    monkeypatch.setattr(decoder, "HEAD_CHUNK_BYTES", 8 * 50 * 4)  # 4 rows a chunk: 5 chunks
+    monkeypatch.setattr(decoder, "HEAD_TILE_BYTES", 8 * 18 * 6)  # 18 kept rows: 9 tiles of 6 words
     one, two = head(set_workers, 1, record), head(set_workers, 2, record)
     assert len(one) == (4 if record else 1)
     for a, b in zip(one, two):
@@ -123,8 +124,8 @@ def test_head_on_two_workers_is_bit_for_bit_one_workers(set_workers, monkeypatch
 
 
 def test_head_on_more_workers_than_cores_under_fast_switching(set_workers, monkeypatch):
-    """Each round reuses the chunk buffers of the round before; a shared one would show here."""
-    monkeypatch.setattr(decoder, "HEAD_CHUNK_BYTES", 8 * 50 * 2)  # 2 rows a chunk: 9 chunks
+    """Each worker fills its own tile buffers; a shared one would show here."""
+    monkeypatch.setattr(decoder, "HEAD_TILE_BYTES", 8 * 18 * 4)  # 13 tiles of 4 words
     one = head(set_workers, 1, True)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -136,31 +137,26 @@ def test_head_on_more_workers_than_cores_under_fast_switching(set_workers, monke
         assert np.array_equal(a, b)
 
 
-def test_head_adds_the_chunk_parts_in_chunk_order(set_workers, monkeypatch):
-    """The whole head against its chunks run one by one, their parts added in chunk order."""
-    monkeypatch.setattr(decoder, "HEAD_CHUNK_BYTES", 8 * 50 * 4)
-    set_workers(2)
-    states, out_w, out_b, targets, keep = head_inputs()
-    kept = np.flatnonzero(keep)
-    want = [0.0, np.zeros_like(states.data), np.zeros_like(out_w.data), np.zeros_like(out_b.data)]
-    for start in range(0, kept.size, 4):
-        keep_chunk = np.zeros_like(keep)
-        keep_chunk[kept[start : start + 4]] = True
-        states.grad = out_w.grad = out_b.grad = None
-        with Tape() as tape:
-            loss = decoder.cross_entropy_rows(states, out_w, out_b, targets, keep_chunk)
-            tape.backward(loss)
-        want[0] += loss.item()
-        for total, part in zip(want[1:], (states.grad, out_w.grad, out_b.grad)):
-            total += part
-    assert kept.size > 8  # three chunks or more
-    states.grad = out_w.grad = out_b.grad = None
-    with Tape() as tape:
-        loss = decoder.cross_entropy_rows(states, out_w, out_b, targets, keep)
-        tape.backward(loss)
-    assert loss.item() == want[0]
-    for got, expected in zip((states.grad, out_w.grad, out_b.grad), want[1:]):
-        assert np.array_equal(got, expected)
+def test_head_at_glove_size_holds_no_per_worker_vocabulary_buffer(set_workers):
+    # a second worker adds only its own tile buffers: no (rows, V) chunk, no (V, d) part
+    rng = np.random.default_rng(2)
+    states, out_w, out_b = (rng.standard_normal(shape) for shape in ((240, 32), (20_000, 32),
+                                                                      (1, 20_000)))
+    targets, keep = rng.integers(0, 20_000, size=240), rng.random(240) < 0.885
+    peaks = []
+    for workers in (1, 2):
+        set_workers(workers)
+        s, w, b = Matrix(states.copy()), Matrix(out_w), Matrix(out_b)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                tape.backward(decoder.cross_entropy_rows(s, w, b, targets, keep))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(keep.sum() - 212) < 10
+    assert max(peaks) < 16 << 20
+    assert peaks[1] - peaks[0] < 1.25 * decoder.HEAD_TILE_BYTES
 
 
 def large_vector_setup():
@@ -182,7 +178,7 @@ def train_two_steps(set_workers, workers):
 
 
 def test_train_steps_on_two_workers_are_bit_for_bit_one_workers(set_workers, monkeypatch):
-    monkeypatch.setattr(decoder, "HEAD_CHUNK_BYTES", 8 * 16_388 * 4)  # 4 rows a chunk
+    monkeypatch.setattr(decoder, "HEAD_TILE_BYTES", 1 << 16)  # 19 and 22 kept rows: 39 and 45 tiles
     one, two = train_two_steps(set_workers, 1), train_two_steps(set_workers, 2)
     assert len(parallel.spans(one[1].size)) == 2
     assert one[0] == two[0]

@@ -582,7 +582,7 @@ def test_no_stale_table_gradient_reaches_the_next_step(monkeypatch, before):
 
 
 def test_train_step_never_allocates_a_dense_vocabulary_buffer():
-    # the head runs in chunks: no (T*B, V) array, though the V-wide tensors are allocated
+    # the head runs in vocabulary tiles: no (T*B, V) array, though the V-wide tensors are allocated
     config = TrainConfig(batch_size=32, seed=0)
     corpus = gen_synthetic(64, 8, config.d_img, seed=0)
     batch = make_batches(numericalize(corpus, build_vocab(corpus)), 32, seed=0)[0]
@@ -605,8 +605,8 @@ def test_train_step_never_allocates_a_dense_vocabulary_buffer():
 def test_train_steps_allocate_nothing_as_large_as_the_table(set_workers):
     # At GloVe size the table's gradient holds only the gathered rows, and the step's
     # gradient vector covers only the tensors after the table, on the first step and the
-    # next. One worker: the head holds an 8 MB chunk per core at a time, so on many cores
-    # its buffers alone would pass the table's size.
+    # next. One worker: the head holds a 2 MB tile buffer per worker, so on many cores its
+    # buffers alone would pass the table's size.
     set_workers(1)
     config = TrainConfig(d_e=300, batch_size=32, seed=0)
     corpus = gen_synthetic(64, 8, config.d_img, seed=0)

@@ -15,7 +15,7 @@ digest does not follow the shell's thread settings.
 
 The runs are 8 cap2all steps at the defaults, and 4 steps at V = 20,000 and
 d_e = 300 with a clip bound small enough to bind, where the vocabulary head
-runs in several chunks and the step's vector work is split.
+runs in several tiles and the step's vector work is split.
 For each step the file holds the loss parts; after the last step, each
 tensor's sum and sum of squares of the parameters and of Adam's m and v.
 Regenerate the file only with a change meant to alter the trajectory, and
